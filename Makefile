@@ -107,21 +107,24 @@ ledger-smoke:
 # run with different -workers per shard) is merged by tools/ledgermerge and
 # cmp(1)'d byte-for-byte against the 1-process ledger; then the 1-process
 # ledger is truncated mid-cell with a torn final line (what a crash leaves)
-# and a -resume run must reconverge to the same bytes. All artifacts match
-# the ledger-shard-*.jsonl pattern covered by .gitignore and `make clean`.
+# and a -resume run must reconverge to the same bytes. The cut keeps the
+# header, the first cell (100 trials + summary) and 70 trials of the second
+# cell, so the resume starts inside that cell's second 64-trial lane. All
+# artifacts match the ledger-shard-*.jsonl pattern covered by .gitignore and
+# `make clean`.
 shard-smoke:
-	$(GO) run ./cmd/questbench -trials 16 -workers 4 -ledger ledger-shard-full.jsonl threshold
-	$(GO) run ./cmd/questbench -trials 16 -workers 2 -shard 0/2 -ledger ledger-shard-0.jsonl threshold
-	$(GO) run ./cmd/questbench -trials 16 -workers 3 -shard 1/2 -ledger ledger-shard-1.jsonl threshold
+	$(GO) run ./cmd/questbench -trials 100 -workers 4 -ledger ledger-shard-full.jsonl threshold
+	$(GO) run ./cmd/questbench -trials 100 -workers 2 -shard 0/2 -ledger ledger-shard-0.jsonl threshold
+	$(GO) run ./cmd/questbench -trials 100 -workers 3 -shard 1/2 -ledger ledger-shard-1.jsonl threshold
 	$(GO) run ./tools/ledgermerge -o ledger-shard-merged.jsonl ledger-shard-0.jsonl ledger-shard-1.jsonl
 	cmp ledger-shard-merged.jsonl ledger-shard-full.jsonl
-	$(GO) run ./tools/ledgercheck -min-cells 6 -min-trials 96 ledger-shard-merged.jsonl
-	head -n 40 ledger-shard-full.jsonl > ledger-shard-crash.jsonl
+	$(GO) run ./tools/ledgercheck -min-cells 6 -min-trials 600 ledger-shard-merged.jsonl
+	head -n 172 ledger-shard-full.jsonl > ledger-shard-crash.jsonl
 	printf '{"record":"trial","cell":"thr' >> ledger-shard-crash.jsonl
-	$(GO) run ./cmd/questbench -trials 16 -workers 3 -resume ledger-shard-crash.jsonl \
+	$(GO) run ./cmd/questbench -trials 100 -workers 3 -resume ledger-shard-crash.jsonl \
 		-ledger ledger-shard-resumed.jsonl threshold
 	cmp ledger-shard-resumed.jsonl ledger-shard-full.jsonl
-	$(GO) run ./tools/ledgercheck -min-cells 6 -min-trials 96 ledger-shard-resumed.jsonl
+	$(GO) run ./tools/ledgercheck -min-cells 6 -min-trials 600 ledger-shard-resumed.jsonl
 
 # Live-telemetry smoke — the same checks CI's events-smoke job runs. A
 # 2-shard ledgered sweep streams quest-events/1 snapshots; questtop -check

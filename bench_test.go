@@ -346,7 +346,7 @@ func BenchmarkThresholdSweepWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
 			var rows []core.ThresholdRow
 			for i := 0; i < b.N; i++ {
-				rows = core.Threshold(rates, distances, trials, w)
+				rows, _ = core.Threshold(rates, distances, trials, w, core.SweepObs{})
 			}
 			b.ReportMetric(rows[0].FailRate, "d3-fail-rate")
 			b.ReportMetric(float64(w), "workers")

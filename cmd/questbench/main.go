@@ -49,7 +49,6 @@ import (
 	"quest/internal/benchsuite"
 	"quest/internal/chart"
 	"quest/internal/core"
-	"quest/internal/metrics"
 	"quest/internal/obsflags"
 	"quest/internal/workload"
 )
@@ -154,6 +153,10 @@ func main() {
 		os.Exit(2)
 	}
 	sweep = core.SweepObs{
+		// The registry Monte-Carlo workers merge their shards into:
+		// Default when -metrics, -pprof or -events wants it, else nil.
+		Metrics:  obs.ShardReg(),
+		Tracer:   obs.Tracer(),
 		Ledger:   lw,
 		Heat:     obs.HeatSet(),
 		BW:       obs.BW(),
@@ -366,16 +369,8 @@ func dramExt() {
 		[]string{"workload", "baseline DDR channels needed", "QuEST channel utilization"}, rows))
 }
 
-// shardReg returns the registry Monte-Carlo drivers aggregate their
-// per-worker shards into: Default when -metrics or -pprof is requested, nil
-// (no aggregation) otherwise.
-func shardReg() *metrics.Registry {
-	return obs.ShardReg()
-}
-
 func threshold() {
-	trows, err := core.ThresholdObserved(shardReg(), obs.Tracer(),
-		[]float64{2e-3, 1e-3, 5e-4}, []int{3, 5}, trialsOr(200), *flagWorkers, sweep)
+	trows, err := core.Threshold([]float64{2e-3, 1e-3, 5e-4}, []int{3, 5}, trialsOr(200), *flagWorkers, sweep)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "threshold experiment failed:", err)
 		obs.Finish()
@@ -395,7 +390,7 @@ func threshold() {
 func memory() {
 	var rows [][]string
 	for _, p := range []float64{0, 1e-4, 5e-4} {
-		r, ran, err := core.MachineMemoryObserved(shardReg(), obs.Tracer(), p, 8, trialsOr(40), *flagWorkers, sweep)
+		r, ran, err := core.MachineMemory(p, 8, trialsOr(40), *flagWorkers, sweep)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "memory experiment failed:", err)
 			obs.Finish()

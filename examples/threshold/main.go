@@ -18,7 +18,12 @@ func main() {
 	fmt.Println("================================================================")
 	rates := []float64{2e-3, 1e-3, 5e-4, 2e-4}
 	distances := []int{3, 5}
-	rows := core.Threshold(rates, distances, 300, 0) // workers=0: use all cores
+	// workers=0: use all cores; the zero SweepObs observes nothing.
+	rows, err := core.Threshold(rates, distances, 300, 0, core.SweepObs{})
+	if err != nil {
+		fmt.Println("threshold sweep failed:", err)
+		return
+	}
 	fmt.Printf("%-10s", "p_phys")
 	for _, d := range distances {
 		fmt.Printf("  d=%d logical-fail", d)

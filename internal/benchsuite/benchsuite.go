@@ -168,27 +168,19 @@ func Cases(reg *metrics.Registry) []Case {
 				hist.Absorb(synd)
 			}
 		}},
-		{"threshold-cell-d3", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.ThresholdIn(reg, []float64{1e-3}, []int{3}, 4, 1)
-			}
-		}},
 		{"threshold-cell-d3-batched", func(b *testing.B) {
-			// The same cell as threshold-cell-d3 through the lane-batched
-			// Pauli-frame engine; the two cases side by side track the
-			// batching speedup on every run.
+			// One d=3 threshold cell on the lane-batched Pauli-frame engine
+			// that core.Threshold runs.
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				core.ThresholdBatched(reg, nil, []float64{1e-3}, []int{3}, 4, 1, core.SweepObs{})
+				core.Threshold([]float64{1e-3}, []int{3}, 4, 1, core.SweepObs{Metrics: reg})
 			}
 		}},
 		{"threshold-cell-d5-batched", func(b *testing.B) {
-			// A d=5 cell: scaling headroom the scalar engine's tableau cost
-			// made too slow to track per-push.
+			// A d=5 cell: how the per-lane cost scales with distance.
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				core.ThresholdBatched(reg, nil, []float64{1e-3}, []int{5}, 4, 1, core.SweepObs{})
+				core.Threshold([]float64{1e-3}, []int{5}, 4, 1, core.SweepObs{Metrics: reg})
 			}
 		}},
 		{"events-off-observe", func(b *testing.B) {

@@ -1,37 +1,36 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"quest/internal/clifford"
 	"quest/internal/decoder"
 	"quest/internal/heatmap"
 	"quest/internal/mc"
-	"quest/internal/metrics"
 	"quest/internal/noise"
 	"quest/internal/surface"
-	"quest/internal/tracing"
 )
 
-// This file is the batched counterpart of logicalFailRateObserved: the same
-// windowed-decode memory experiment, restructured so that per-trial setup is
-// compiled once per cell and the per-trial fault state is bit-sliced across a
-// 64-trial lane.
+// This file is the threshold experiment's trial engine: the windowed-decode
+// memory experiment, structured so that per-trial setup is compiled once per
+// distance and the per-trial fault state is bit-sliced across a 64-trial
+// lane.
 //
-// The scalar engine re-simulates the full stabilizer tableau every trial.
-// But after the first (discarded) clean extraction cycle projects the state,
-// every subsequent ancilla measurement outcome is deterministic: Pauli faults
-// flip outcomes without introducing randomness, the clean-syndrome reference
-// is identical every trial, and the logical-Z readout of the zero-fault state
-// is always +1. The trial outcome is therefore a pure function of the
-// injector's fault stream: Fail iff the X-fault parity on the logical-Z
-// support disagrees with the decoder frame's X-parity there. That lets the
-// batched engine replace the tableau with Pauli-frame fault propagation
-// through the precompiled extraction program — replaying the scalar
-// injector's RNG draws site by site (noise.Replayer) so the fault pattern,
-// defect stream, decode, ledger bytes and heat JSON stay byte-identical to
-// the scalar oracle (pinned by TestThresholdBatchedMatchesScalar).
+// The reference trial — kept in the tests as the oracle — re-simulates the
+// full stabilizer tableau through the AWG units with the scalar
+// noise.Injector. But after the first (discarded) clean extraction cycle
+// projects the state, every subsequent ancilla measurement outcome is
+// deterministic: Pauli faults flip outcomes without introducing randomness,
+// the clean-syndrome reference is identical every trial, and the logical-Z
+// readout of the zero-fault state is always +1. The trial outcome is
+// therefore a pure function of the injector's fault stream: Fail iff the
+// X-fault parity on the logical-Z support disagrees with the decoder
+// frame's X-parity there. That lets the batched engine replace the tableau
+// with Pauli-frame fault propagation through the precompiled extraction
+// program — replaying the scalar injector's RNG draws site by site
+// (noise.Replayer) so the fault pattern, defect stream, decode, ledger
+// bytes and heat JSON stay byte-identical to the scalar oracle (pinned by
+// TestThresholdBatchedMatchesScalar).
 
 // thresholdProgram is the once-per-distance precompute of a threshold cell:
 // the lattice, the extraction program, the logical-Z support and the ancilla
@@ -48,7 +47,7 @@ type thresholdProgram struct {
 
 // batchAncilla caches an ancilla's coordinates and type for defect emission
 // in qubit-index order — the order SyndromeHistory.Absorb scans, which the
-// ledger/heat byte-equality with the scalar engine depends on.
+// ledger/heat byte-equality with the scalar oracle depends on.
 type batchAncilla struct {
 	q, r, c int
 	isX     bool
@@ -84,7 +83,7 @@ func thresholdProgramFor(d int) *thresholdProgram {
 // batchScratch is the pooled lane state: dense fault lanes indexed by
 // (cycle, word, qubit), the live Pauli-frame lanes, the per-round ancilla
 // outcome-flip lanes, and the per-trial decoder scratch (window + matcher +
-// frame) that the scalar engine reallocated every trial. One scratch serves
+// frame) that the scalar oracle reallocated every trial. One scratch serves
 // one lane at a time; the pool hands it back to whichever worker claims the
 // next lane.
 type batchScratch struct {
@@ -244,7 +243,7 @@ func (tp *thresholdProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, 
 	}
 
 	// Phase 3: per-trial windowed decode over the defect lanes, driving the
-	// same WindowDecoder the scalar engine uses — Absorb per round, Flush at
+	// same WindowDecoder the scalar oracle uses — Absorb per round, Flush at
 	// the end — so matchings, corrections, instrument counts, tracer spans
 	// and heat records replicate the scalar path exactly.
 	var instr *decoder.Instr
@@ -282,66 +281,12 @@ func (tp *thresholdProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, 
 	}
 }
 
-// ThresholdBatched is ThresholdObserved on the batched engine: identical
-// cells, seeds, observers, sharding and rows, ≥10× the trial throughput.
-// The scalar ThresholdObserved stays in-tree as the cross-check oracle; the
-// equivalence tests run both and compare Results, ledger bytes and heat
-// JSON. The error reports a sharding or resume mismatch, as in the scalar
-// entry point.
-func ThresholdBatched(reg *metrics.Registry, tr *tracing.Tracer, rates []float64, distances []int,
-	trials, workers int, obs SweepObs) ([]ThresholdRow, error) {
-	var rows []ThresholdRow
-	for _, p := range rates {
-		for _, d := range distances {
-			res, ran, err := logicalFailRateBatched(reg, tr, d, p, trials, workers, obs)
-			if err != nil {
-				return rows, err
-			}
-			if !ran {
-				continue
-			}
-			rows = append(rows, ThresholdRow{
-				PhysRate: p,
-				Distance: d,
-				FailRate: res.Rate,
-				WilsonLo: res.WilsonLo,
-				WilsonHi: res.WilsonHi,
-				Trials:   res.Trials,
-			})
-		}
-	}
-	return rows, nil
-}
-
-// logicalFailRateBatched mirrors logicalFailRateObserved cell for cell: same
-// cell seed, same cell name, same observer wiring — only the trial engine
-// differs. Resume replays completed cells verbatim like the scalar path; a
-// partially-recorded cell is re-executed from scratch (RunBatch claims
-// whole 64-trial lanes, so a ragged prior prefix would split one), which
-// costs time but not bytes — outcomes are pure functions of the seeds.
-func logicalFailRateBatched(reg *metrics.Registry, tr *tracing.Tracer, d int, p float64,
-	trials, workers int, obs SweepObs) (mc.Result, bool, error) {
-	cell := mc.Seed(ExperimentSeed, mc.F64(p), uint64(d))
-	name := fmt.Sprintf("threshold p=%g d=%d", p, d)
-	plan, err := obs.beginCell(name, cell, trials)
-	if err != nil {
-		return mc.Result{}, true, err
-	}
-	if plan.skip {
-		return mc.Result{}, false, nil
-	}
-	if plan.replayed != nil {
-		return *plan.replayed, true, nil
-	}
+// batchedThreshold is the production threshold engine: one compiled
+// program per distance, LaneWidth trials per lane.
+func batchedThreshold(d int, p float64) cellEngine {
 	tp := thresholdProgramFor(d)
-	heat := obs.collector(tp.lat.Rows, tp.lat.Cols)
-	mobs := obs.observers(name, heat)
-	res := mc.RunBatch(trials, workers, cell, reg, tr, mobs,
-		func(_ int, seeds []uint64, ctx mc.BatchCtx, out []mc.Outcome) {
+	return cellEngine{lane: mc.LaneWidth, rows: tp.lat.Rows, cols: tp.lat.Cols,
+		fn: func(_ int, seeds []uint64, ctx mc.BatchCtx, out []mc.Outcome) {
 			tp.runLane(p, seeds, ctx, out)
-		})
-	if err := obs.closeCell(name, map[string]float64{"p": p, "d": float64(d)}, cell, trials, res); err != nil {
-		return res, true, err
-	}
-	return res, true, nil
+		}}
 }

@@ -2,18 +2,80 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"quest/internal/awg"
+	"quest/internal/clifford"
+	"quest/internal/decoder"
 	"quest/internal/heatmap"
 	"quest/internal/ledger"
+	"quest/internal/mc"
 	"quest/internal/metrics"
+	"quest/internal/noise"
+	"quest/internal/surface"
+	"quest/internal/tracing"
 )
 
-// thresholdSweep runs one sweep through either engine and returns the rows,
-// the raw ledger bytes and the heatmap JSON.
-func thresholdSweep(t *testing.T, batched bool, workers, trials int, ciWidth float64,
-	rates []float64, distances []int) ([]ThresholdRow, []byte, []byte) {
+// scalarThreshold is the scalar tableau oracle behind the batched engine:
+// every trial re-simulates the full stabilizer tableau through the AWG
+// execution units with the scalar noise.Injector, decodes with a fresh
+// window decoder, and reads the logical observable off the tableau. It runs
+// one trial per lane through the same cell driver as production, so any
+// difference the equivalence tests see is the engine's, never the
+// plumbing's.
+func scalarThreshold(d int, p float64) cellEngine {
+	lat := surface.NewPlanar(d)
+	words := surface.CompileCycle(lat, surface.Steane, nil)
+	return cellEngine{lane: 1, rows: lat.Rows, cols: lat.Cols,
+		fn: func(_ int, seeds []uint64, ctx mc.BatchCtx, out []mc.Outcome) {
+			seed := seeds[0]
+			tb := clifford.New(lat.NumQubits(), rand.New(rand.NewSource(int64(mc.Derive(seed, 0)))))
+			inj := noise.NewInjector(noise.Uniform(p), int64(mc.Derive(seed, 1)))
+			noisy := awg.New(tb, inj)
+			clean := awg.New(tb, nil)
+			run := func(u *awg.ExecutionUnit) map[int]int {
+				synd := make(map[int]int)
+				u.MeasSink = func(q, bit int) { synd[q] = bit }
+				for _, w := range words {
+					u.ExecuteWord(w)
+				}
+				return synd
+			}
+			hist := decoder.NewHistory(lat)
+			frame := decoder.NewPauliFrame()
+			win := decoder.NewWindowDecoder(decoder.NewGlobalDecoder(lat), d)
+			if ctx.Shard != nil {
+				win.SetInstr(decoder.NewInstr(ctx.Shard))
+			}
+			win.SetTracer(ctx.Trace, 0)
+			if ctx.Heat != nil {
+				hist.SetHeat(ctx.Heat[0])
+				win.SetHeat(ctx.Heat[0])
+			}
+			run(clean)
+			hist.Absorb(run(clean))
+			// d noisy rounds: the window decoder is d rounds deep, so fewer
+			// would never fill a d=5 or d=7 cell's own decode window.
+			for round := 0; round < d; round++ {
+				inj.SetLocation(round, 0)
+				win.Absorb(hist.Absorb(run(noisy)), frame)
+			}
+			win.Absorb(hist.Absorb(run(clean)), frame)
+			win.Flush(frame)
+			logZ := lat.LogicalZ()
+			raw := tb.MeasureObservable(nil, logZ)
+			want := 1 - 2*frame.ParityOn(logZ, true)
+			out[0] = mc.Outcome{Fail: raw != 0 && raw != want}
+		}}
+}
+
+// engineSweep runs one sweep through the batched production engine or the
+// scalar oracle and returns the rows, the raw ledger bytes, the heatmap JSON
+// and the merged trace JSON.
+func engineSweep(t *testing.T, batched bool, workers, trials int, ciWidth float64,
+	rates []float64, distances []int) ([]ThresholdRow, []byte, []byte, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	lw, err := ledger.NewWriter(&buf, "threshold-batch-test", map[string]string{"suite": "batch_test"}, 1)
@@ -21,30 +83,36 @@ func thresholdSweep(t *testing.T, batched bool, workers, trials int, ciWidth flo
 		t.Fatalf("NewWriter: %v", err)
 	}
 	heat := heatmap.NewSet()
-	obs := SweepObs{Ledger: lw, Heat: heat, CIWidth: ciWidth}
-	var rows []ThresholdRow
-	var serr error
+	tr := tracing.New(1 << 16)
+	obs := SweepObs{Tracer: tr, Ledger: lw, Heat: heat, CIWidth: ciWidth}
+	engine := scalarThreshold
 	if batched {
-		rows, serr = ThresholdBatched(nil, nil, rates, distances, trials, workers, obs)
-	} else {
-		rows, serr = ThresholdObserved(nil, nil, rates, distances, trials, workers, obs)
+		engine = batchedThreshold
 	}
-	if serr != nil {
-		t.Fatalf("sweep: %v", serr)
+	rows, err := thresholdSweep(rates, distances, trials, workers, obs, engine)
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
 	}
 	if err := lw.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	var hj bytes.Buffer
+	var hj, tj bytes.Buffer
 	if err := heat.WriteJSON(&hj); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	return rows, buf.Bytes(), hj.Bytes()
+	if tr.Dropped() != 0 {
+		t.Fatalf("trace ring dropped %d events; enlarge it", tr.Dropped())
+	}
+	if err := tr.WriteJSON(&tj); err != nil {
+		t.Fatalf("trace WriteJSON: %v", err)
+	}
+	return rows, buf.Bytes(), hj.Bytes(), tj.Bytes()
 }
 
 // TestThresholdBatchedMatchesScalar pins the batched engine's whole contract:
-// for every cell, Result rows, ledger bytes and heat JSON are byte-identical
-// to the scalar tableau oracle, across worker counts (including lane-count
+// for every cell, Result rows, ledger bytes, heat JSON and (on fixed
+// budgets) the merged trace JSON are byte-identical to the scalar tableau
+// oracle, across worker counts (including lane-count
 // mismatches), trial counts that leave a ragged final 64-trial lane, and CI
 // early stop. The scalar engine runs at workers=1 as the reference.
 func TestThresholdBatchedMatchesScalar(t *testing.T) {
@@ -65,9 +133,12 @@ func TestThresholdBatchedMatchesScalar(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dists := []int{tc.distance}
-			wantRows, wantLed, wantHeat := thresholdSweep(t, false, 1, tc.trials, tc.ciWidth, rates, dists)
+			wantRows, wantLed, wantHeat, wantTrace := engineSweep(t, false, 1, tc.trials, tc.ciWidth, rates, dists)
+			if !bytes.Contains(wantTrace, []byte(`"window"`)) {
+				t.Fatal("oracle trace has no decoder window spans; the trace comparison is vacuous")
+			}
 			for _, workers := range []int{1, 8} {
-				rows, led, heat := thresholdSweep(t, true, workers, tc.trials, tc.ciWidth, rates, dists)
+				rows, led, heat, trace := engineSweep(t, true, workers, tc.trials, tc.ciWidth, rates, dists)
 				if !reflect.DeepEqual(rows, wantRows) {
 					t.Errorf("workers=%d: batched rows differ from scalar oracle:\nbatched: %+v\nscalar:  %+v",
 						workers, rows, wantRows)
@@ -77,6 +148,12 @@ func TestThresholdBatchedMatchesScalar(t *testing.T) {
 				}
 				if !bytes.Equal(heat, wantHeat) {
 					t.Errorf("workers=%d: batched heat JSON differs from scalar oracle", workers)
+				}
+				// Traces observe execution, so under CI early stop they also
+				// see the overrun trials, whose count depends on lane width
+				// and worker count; compare them on fixed budgets only.
+				if tc.ciWidth == 0 && !bytes.Equal(trace, wantTrace) {
+					t.Errorf("workers=%d: batched trace JSON differs from scalar oracle", workers)
 				}
 			}
 			if _, err := ledger.Validate(wantLed); err != nil {
@@ -95,11 +172,11 @@ func TestThresholdRoundsTrackDistance(t *testing.T) {
 	for _, d := range []int{3, 5, 7} {
 		for _, batched := range []bool{false, true} {
 			reg := metrics.New()
+			engine := scalarThreshold
 			if batched {
-				_, _ = ThresholdBatched(reg, nil, []float64{2e-3}, []int{d}, 1, 1, SweepObs{})
-			} else {
-				_, _ = ThresholdObserved(reg, nil, []float64{2e-3}, []int{d}, 1, 1, SweepObs{})
+				engine = batchedThreshold
 			}
+			_, _ = thresholdSweep([]float64{2e-3}, []int{d}, 1, 1, SweepObs{Metrics: reg}, engine)
 			got := reg.Counter("decoder.window.rounds").Value()
 			want := uint64(d + 1) // d noisy rounds + the final clean round
 			if got != want {

@@ -368,7 +368,10 @@ func TestMachineWithNoCAndUnionFindWindow(t *testing.T) {
 }
 
 func TestThresholdExperiment(t *testing.T) {
-	rows := Threshold([]float64{1e-3}, []int{3, 5}, 120, 0)
+	rows, err := Threshold([]float64{1e-3}, []int{3, 5}, 120, 0, SweepObs{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -384,9 +387,35 @@ func TestThresholdExperiment(t *testing.T) {
 	}
 }
 
+// TestThresholdSeparatesDistances is the paper's validation claim at a
+// resolution that settles it: below threshold, distance 5 fails
+// significantly less often than distance 3 — the d=5 95% Wilson interval
+// lies entirely below the d=3 one. 50,000 trials per cell resolve the
+// crossing (d=3 ≈ [0.0078, 0.0094], d=5 ≈ [0.0056, 0.0070]); the 200-trial
+// default of questbench cannot.
+func TestThresholdSeparatesDistances(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100,000 threshold trials")
+	}
+	rows, err := Threshold([]float64{5e-4}, []int{3, 5}, 50000, 0, SweepObs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0].Distance != 3 || rows[1].Distance != 5 {
+		t.Fatalf("rows = %+v, want d=3 then d=5", rows)
+	}
+	d3, d5 := rows[0], rows[1]
+	if d5.WilsonHi >= d3.WilsonLo {
+		t.Errorf("d=5 interval [%.5f, %.5f] overlaps d=3 [%.5f, %.5f] at p=5e-4",
+			d5.WilsonLo, d5.WilsonHi, d3.WilsonLo, d3.WilsonHi)
+	}
+	t.Logf("p=5e-4: d=3 %.5f [%.5f, %.5f], d=5 %.5f [%.5f, %.5f]",
+		d3.FailRate, d3.WilsonLo, d3.WilsonHi, d5.FailRate, d5.WilsonLo, d5.WilsonHi)
+}
+
 func TestMachineMemoryExperiment(t *testing.T) {
 	// Noiseless: zero failures, ever.
-	clean, err := MachineMemory(0, 6, 10, 0)
+	clean, _, err := MachineMemory(0, 6, 10, 0, SweepObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +423,7 @@ func TestMachineMemoryExperiment(t *testing.T) {
 		t.Fatalf("noiseless memory failed %d/10 trials", clean.Failures)
 	}
 	// Low noise through the full machine decode path: failures stay rare.
-	noisy, err := MachineMemory(2e-4, 6, 50, 0)
+	noisy, _, err := MachineMemory(2e-4, 6, 50, 0, SweepObs{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,14 +4,18 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"quest/internal/bandwidth"
+	"quest/internal/bwprofile"
+	"quest/internal/compiler"
 	"quest/internal/concat"
 	"quest/internal/distill"
 	"quest/internal/dram"
+	"quest/internal/heatmap"
+	"quest/internal/isa"
 	"quest/internal/jj"
 	"quest/internal/mc"
-	"quest/internal/metrics"
 	"quest/internal/microcode"
 	"quest/internal/noise"
 	"quest/internal/surface"
@@ -454,34 +458,52 @@ type ThresholdRow struct {
 
 // Threshold sweeps physical error rates and code distances through the full
 // decode path: noisy syndrome extraction, d-round space-time windowed
-// matching, Pauli-frame verification against ground truth. Trials fan out
-// over `workers` goroutines (<=0 means GOMAXPROCS); rows are bit-identical
-// for any worker count because every trial is seeded from
-// (ExperimentSeed, p, d, trial) alone.
-func Threshold(rates []float64, distances []int, trials, workers int) []ThresholdRow {
-	return ThresholdIn(nil, rates, distances, trials, workers)
+// matching, Pauli-frame verification against ground truth. The noise model
+// is noise.Uniform(p) — every location including preparation fails at p,
+// the paper's single-rate convention. Cells run on the lane-batched
+// Pauli-frame engine (batch.go) at mc.LaneWidth trials per lane; trials fan
+// out over `workers` goroutines (<=0 means GOMAXPROCS).
+//
+// Rows are bit-identical for any worker count and with or without any
+// SweepObs hook, because every trial is seeded from (ExperimentSeed, p, d,
+// trial) alone. Under a Shard only the owned cells produce rows (in sweep
+// order); under CI early stop rows report the effective trial count. The
+// error reports a sharding, resume or ledger failure — never a trial-level
+// failure, which stays in its row.
+func Threshold(rates []float64, distances []int, trials, workers int, obs SweepObs) ([]ThresholdRow, error) {
+	return thresholdSweep(rates, distances, trials, workers, obs, batchedThreshold)
 }
 
-// ThresholdIn is Threshold with trial instrumentation aggregated into reg via
-// per-worker metrics shards (nil reg skips instrumentation entirely). Rows
-// are bit-identical with and without a registry: instruments only observe the
-// decode path, they never feed back into trial outcomes.
-func ThresholdIn(reg *metrics.Registry, rates []float64, distances []int, trials, workers int) []ThresholdRow {
-	// An empty SweepObs never shards or resumes, so no error is possible.
-	rows, _ := ThresholdObserved(reg, nil, rates, distances, trials, workers, SweepObs{})
-	return rows
-}
-
-// logicalFailRate runs `trials` independent noisy memory experiments at
-// distance d and physical rate p, decoding with a d-round window. The noise
-// model is noise.Uniform(p) — every location including preparation fails at
-// p, the paper's single-rate convention (an earlier version dropped the
-// Prep channel and under-reported failure rates; see CHANGES.md). The body
-// lives in logicalFailRateObserved (observe.go) with all hooks nil-gated.
-func logicalFailRate(reg *metrics.Registry, d int, p float64, trials, workers int) mc.Result {
-	// An empty SweepObs never shards or resumes: the cell always runs.
-	res, _, _ := logicalFailRateObserved(reg, nil, d, p, trials, workers, SweepObs{})
-	return res
+// thresholdSweep runs the threshold cells in sweep order through the cell
+// driver, building each executed cell's trials with engine. Production
+// passes batchedThreshold; the tests plug the scalar tableau oracle in here,
+// so both engines share every byte of the cell plumbing.
+func thresholdSweep(rates []float64, distances []int, trials, workers int, obs SweepObs,
+	engine func(d int, p float64) cellEngine) ([]ThresholdRow, error) {
+	var rows []ThresholdRow
+	for _, p := range rates {
+		for _, d := range distances {
+			cell := mc.Seed(ExperimentSeed, mc.F64(p), uint64(d))
+			name := fmt.Sprintf("threshold p=%g d=%d", p, d)
+			res, ran, err := obs.runCell(name, cell, map[string]float64{"p": p, "d": float64(d)},
+				trials, workers, func() cellEngine { return engine(d, p) })
+			if err != nil {
+				return rows, err
+			}
+			if !ran {
+				continue
+			}
+			rows = append(rows, ThresholdRow{
+				PhysRate: p,
+				Distance: d,
+				FailRate: res.Rate,
+				WilsonLo: res.WilsonLo,
+				WilsonHi: res.WilsonHi,
+				Trials:   res.Trials,
+			})
+		}
+	}
+	return rows, nil
 }
 
 // MemoryRow is one operating point of the machine-level logical memory
@@ -500,23 +522,128 @@ type MemoryRow struct {
 // FailRate returns the measured logical failure fraction.
 func (r MemoryRow) FailRate() float64 { return float64(r.Failures) / float64(r.Trials) }
 
-// MachineMemory runs the end-to-end memory experiment, fanning trials over
-// `workers` goroutines (<=0 means GOMAXPROCS). Each trial builds its own
-// machine seeded from (ExperimentSeed, physRate, rounds, trial), so the row
-// is bit-identical for any worker count and uncorrelated with the
-// Threshold sweep's fault patterns.
-func MachineMemory(physRate float64, rounds, trials, workers int) (MemoryRow, error) {
-	return MachineMemoryIn(nil, physRate, rounds, trials, workers)
+// MachineMemory runs the end-to-end memory experiment at one operating
+// point, one machine trial at a time (lane 1), fanning trials over
+// `workers` goroutines (<=0 means GOMAXPROCS). Each trial machine is seeded
+// from (ExperimentSeed, physRate, rounds, trial), so the row is
+// bit-identical for any worker count and uncorrelated with the Threshold
+// sweep's fault patterns. Every SweepObs hook is wired through the full
+// machine: each trial machine records metrics, trace spans, defect births
+// (MCE histories), matched chains (master decoders) and bus bandwidth into
+// trial-private shards merged in trial order. ran=false means the cell
+// belongs to another shard and nothing was emitted.
+func MachineMemory(physRate float64, rounds, trials, workers int, obs SweepObs) (row MemoryRow, ran bool, err error) {
+	cell := mc.Seed(ExperimentSeed, mc.F64(physRate), uint64(rounds), 0x3e3)
+	name := fmt.Sprintf("memory p=%g rounds=%d", physRate, rounds)
+	res, ran, err := obs.runCell(name, cell, map[string]float64{"p": physRate, "rounds": float64(rounds)},
+		trials, workers, func() cellEngine { return memoryEngine(physRate, rounds) })
+	if err != nil || !ran {
+		return MemoryRow{}, ran, err
+	}
+	row = MemoryRow{
+		PhysRate: physRate,
+		Rounds:   rounds,
+		Failures: res.Failures,
+		WilsonLo: res.WilsonLo,
+		WilsonHi: res.WilsonHi,
+		Trials:   res.Trials,
+	}
+	return row, true, res.Err
 }
 
-// MachineMemoryIn is MachineMemory with every trial machine recording into a
-// per-worker metrics shard, all merged into reg after the pool drains (nil reg
-// skips instrumentation). The row is bit-identical with and without a
-// registry.
-func MachineMemoryIn(reg *metrics.Registry, physRate float64, rounds, trials, workers int) (MemoryRow, error) {
-	// An empty SweepObs never shards or resumes: the cell always runs.
-	row, _, err := MachineMemoryObserved(reg, nil, physRate, rounds, trials, workers, SweepObs{})
-	return row, err
+// memoryEngine builds the machine trial of one memory cell, one trial per
+// lane.
+func memoryEngine(physRate float64, rounds int) cellEngine {
+	// Every trial machine is shaped by DefaultMachineConfig with one patch
+	// per tile; its heat grid is exactly that lattice.
+	mt := &memoryTrial{physRate: physRate, rounds: rounds,
+		lat: compiler.NewLayout(DefaultMachineConfig().Distance, 1).Lat}
+	return cellEngine{lane: 1, rows: mt.lat.Rows, cols: mt.lat.Cols,
+		fn: func(start int, seeds []uint64, ctx mc.BatchCtx, out []mc.Outcome) {
+			out[0] = mt.run(start, seeds[0], ctx)
+		}}
+}
+
+// memoryTrial is one memory cell's machine trial. Trials pool machines:
+// every trial of the cell uses the identical machine shape (only the seed
+// and the observation hooks vary), so the expensive trial-independent
+// construction — microcode stores, decoder lookup tables, tableau storage —
+// is paid roughly once per worker and Reset rewinds the rest. Reset-vs-fresh
+// equality is pinned by TestMachineResetMatchesFresh; worker-count
+// independence of the pooled results by TestMachineMemoryObservedDeterminism.
+type memoryTrial struct {
+	physRate float64
+	rounds   int
+	lat      surface.Lattice
+	pool     sync.Pool
+}
+
+// run executes one trial: prepare |0>, idle for the cell's rounds, measure
+// Z, and fail on a nonzero result.
+func (mt *memoryTrial) run(trial int, seed uint64, ctx mc.BatchCtx) mc.Outcome {
+	var heat *heatmap.Collector
+	if ctx.Heat != nil {
+		heat = ctx.Heat[0]
+	}
+	var bw *bwprofile.Recorder
+	if ctx.BW != nil {
+		bw = ctx.BW[0]
+	}
+	// The machine records into a trial-private set; its (single) grid is
+	// folded into the trial's engine shard at the end, so the merged heatmap
+	// stays worker-count independent.
+	var hs *heatmap.Set
+	if heat != nil {
+		hs = heatmap.NewSet()
+	}
+	var m *Machine
+	if v := mt.pool.Get(); v != nil {
+		m = v.(*Machine)
+		m.Reset(int64(seed), ctx.Shard, ctx.Trace, hs, bw)
+	} else {
+		cfg := DefaultMachineConfig()
+		cfg.PatchesPerTile = 1
+		cfg.Seed = int64(seed)
+		cfg.DecodeWindow = cfg.Distance
+		cfg.Metrics = ctx.Shard
+		cfg.Tracer = ctx.Trace
+		cfg.Heat = hs
+		cfg.BW = bw
+		if mt.physRate > 0 {
+			nm := noise.Uniform(mt.physRate)
+			cfg.Noise = &nm
+		}
+		m = NewMachine(cfg)
+	}
+	defer mt.pool.Put(m)
+	mm := m.Master()
+	mm.StepCycle()
+	if err := mm.Dispatch(0, isa.LogicalInstr{Op: isa.LPrep0, Target: 0}); err != nil {
+		return mc.Outcome{Err: err}
+	}
+	for c := 0; c < mt.rounds; c++ {
+		mm.StepCycle()
+	}
+	if err := mm.Dispatch(0, isa.LogicalInstr{Op: isa.LMeasZ, Target: 0}); err != nil {
+		return mc.Outcome{Err: err}
+	}
+	reps, ok := mm.RunUntilDrained(mt.rounds + 50)
+	if !ok {
+		return mc.Outcome{Err: fmt.Errorf("core: memory trial %d did not drain", trial)}
+	}
+	got := -1
+	for _, r := range reps {
+		for _, res := range r.Results {
+			got = res.Bit
+		}
+	}
+	// hs and heat are non-nil together; the conjunction names both
+	// receivers, which is the form the nil-gating contract (gateflow) can
+	// prove.
+	if hs != nil && heat != nil {
+		heat.Merge(hs.Collector(heatmap.GridName(mt.lat.Rows, mt.lat.Cols), mt.lat.Rows, mt.lat.Cols))
+	}
+	return mc.Outcome{Fail: got != 0}
 }
 
 // SyndromeRow compares upstream decode traffic against downstream

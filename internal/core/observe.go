@@ -3,21 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
 
-	"quest/internal/awg"
 	"quest/internal/bwprofile"
-	"quest/internal/clifford"
-	"quest/internal/compiler"
-	"quest/internal/decoder"
 	"quest/internal/heatmap"
-	"quest/internal/isa"
 	"quest/internal/ledger"
 	"quest/internal/mc"
 	"quest/internal/metrics"
-	"quest/internal/noise"
-	"quest/internal/surface"
 	"quest/internal/tracing"
 )
 
@@ -57,18 +48,26 @@ func (s *Shard) claim() bool {
 	return k%s.count == s.index
 }
 
-// SweepObs bundles the experiment-observability hooks a sweep driver wires
-// through the Monte-Carlo engine: a run ledger, spatial heat collection,
-// adaptive CI early stop, and a live progress sink. The zero value observes
-// nothing — Threshold/MachineMemory delegate here with it, so there is
-// exactly one sweep implementation.
+// SweepObs bundles the experiment-observability hooks a sweep wires
+// through the Monte-Carlo engine: metrics, tracing, a run ledger, spatial
+// heat collection, bandwidth profiling, adaptive CI early stop, a live
+// progress sink, sharding and resume. The zero value observes nothing and
+// runs every cell.
 //
 // Everything written through these hooks is worker-count independent: the
 // ledger and the CI-stop decision are pure functions of trial-ordered
-// outcomes, and heat shards are per-trial and merged in trial order (pinned
-// by TestThresholdObservedLedgerDeterminism and friends). Only the Progress
-// stream reflects live completion order — it is display, not data.
+// outcomes, heat and bandwidth shards are per-trial and merged in trial
+// order, and metrics and trace shards merge by addition and canonical sort
+// (pinned by TestThresholdObservedLedgerDeterminism and friends). Only the
+// Progress stream and the wall-clock gauges reflect live completion order —
+// they are display, not data.
 type SweepObs struct {
+	// Metrics aggregates trial instrumentation from per-worker shards. Nil
+	// skips instrumentation (and keeps the trial paths allocation-free).
+	Metrics *metrics.Registry
+	// Tracer merges per-worker trace shards of every trial. Nil disables
+	// tracing.
+	Tracer *tracing.Tracer
 	// Ledger receives one sampled record per trial and one summary per
 	// sweep cell. Nil disables the ledger.
 	Ledger *ledger.Writer
@@ -119,9 +118,9 @@ type cellPlan struct {
 	prior []mc.Outcome
 }
 
-// beginCell resolves sharding and resume for the named cell. It must be
-// called exactly once per cell, in sweep order, by every sweep entry point
-// — the shard cursor and the resume bookkeeping both count on it.
+// beginCell resolves sharding and resume for the named cell. runCell calls
+// it exactly once per cell, in sweep order — the shard cursor and the
+// resume bookkeeping both count on it.
 func (s SweepObs) beginCell(name string, cellSeed uint64, budget int) (cellPlan, error) {
 	if !s.Shard.claim() {
 		return cellPlan{skip: true}, nil
@@ -255,159 +254,26 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// ThresholdObserved is ThresholdIn with tracing and the SweepObs hooks:
-// per-cell ledger records, defect/matched-chain heatmaps, optional CI early
-// stop (rows then report the effective trial count), live progress, cell
-// sharding and checkpoint resume. Rows remain bit-identical for any worker
-// count, with or without observation; under a Shard only the owned cells
-// produce rows (in sweep order). The error reports a sharding or resume
-// mismatch — never a trial-level failure, which stays in its row as before.
-func ThresholdObserved(reg *metrics.Registry, tr *tracing.Tracer, rates []float64, distances []int,
-	trials, workers int, obs SweepObs) ([]ThresholdRow, error) {
-	var rows []ThresholdRow
-	for _, p := range rates {
-		for _, d := range distances {
-			res, ran, err := logicalFailRateObserved(reg, tr, d, p, trials, workers, obs)
-			if err != nil {
-				return rows, err
-			}
-			if !ran {
-				continue
-			}
-			rows = append(rows, ThresholdRow{
-				PhysRate: p,
-				Distance: d,
-				FailRate: res.Rate,
-				WilsonLo: res.WilsonLo,
-				WilsonHi: res.WilsonHi,
-				Trials:   res.Trials,
-			})
-		}
-	}
-	return rows, nil
+// cellEngine is how one sweep cell's trials run: the engine lane width, the
+// shape of the lattice the cell's heat collector tracks, and the trial
+// function.
+type cellEngine struct {
+	lane       int
+	rows, cols int
+	fn         mc.BatchFn
 }
 
-// MachineMemoryObserved is MachineMemoryIn with tracing and the SweepObs
-// hooks wired through the full machine: each trial machine records defect
-// births (MCE histories) and matched chains (master decoders) into a
-// trial-private heat set, merged in trial order. ran=false means the cell
-// belongs to another shard and nothing was emitted.
-func MachineMemoryObserved(reg *metrics.Registry, tr *tracing.Tracer, physRate float64,
-	rounds, trials, workers int, obs SweepObs) (row MemoryRow, ran bool, err error) {
-	cell := mc.Seed(ExperimentSeed, mc.F64(physRate), uint64(rounds), 0x3e3)
-	name := fmt.Sprintf("memory p=%g rounds=%d", physRate, rounds)
-	plan, err := obs.beginCell(name, cell, trials)
-	if err != nil {
-		return MemoryRow{}, true, err
-	}
-	if plan.skip {
-		return MemoryRow{}, false, nil
-	}
-	if r := plan.replayed; r != nil {
-		return MemoryRow{
-			PhysRate: physRate, Rounds: rounds,
-			Failures: r.Failures, WilsonLo: r.WilsonLo, WilsonHi: r.WilsonHi,
-			Trials: r.Trials,
-		}, true, r.Err
-	}
-	// Every trial machine is shaped by DefaultMachineConfig with one patch
-	// per tile (see the trial body); resolve the shared parent collector
-	// for exactly that lattice.
-	base := DefaultMachineConfig()
-	lat := compiler.NewLayout(base.Distance, 1).Lat
-	heat := obs.collector(lat.Rows, lat.Cols)
-	mobs := obs.observers(name, heat)
-	mobs.Prior = plan.prior
-	// Trials pool machines: every trial of this cell uses the identical
-	// machine shape (only the seed and the observation hooks vary), so the
-	// expensive trial-independent construction — microcode stores, decoder
-	// lookup tables, tableau storage — is paid roughly once per worker and
-	// Reset rewinds the rest. Reset-vs-fresh equality is pinned by
-	// TestMachineResetMatchesFresh; worker-count independence of the pooled
-	// results by TestMachineMemoryObservedDeterminism.
-	var pool sync.Pool
-	res := mc.RunObserved(trials, workers, cell, reg, tr, mobs,
-		func(trial int, seed uint64, ctx mc.TrialCtx) mc.Outcome {
-			// The machine records into a trial-private set; its (single)
-			// grid is folded into the trial's engine shard at the end, so
-			// the merged heatmap stays worker-count independent.
-			var hs *heatmap.Set
-			if ctx.Heat != nil {
-				hs = heatmap.NewSet()
-			}
-			var m *Machine
-			if v := pool.Get(); v != nil {
-				m = v.(*Machine)
-				m.Reset(int64(seed), ctx.Shard, ctx.Trace, hs, ctx.BW)
-			} else {
-				cfg := DefaultMachineConfig()
-				cfg.PatchesPerTile = 1
-				cfg.Seed = int64(seed)
-				cfg.DecodeWindow = cfg.Distance
-				cfg.Metrics = ctx.Shard
-				cfg.Tracer = ctx.Trace
-				cfg.Heat = hs
-				cfg.BW = ctx.BW
-				if physRate > 0 {
-					nm := noise.Uniform(physRate)
-					cfg.Noise = &nm
-				}
-				m = NewMachine(cfg)
-			}
-			defer pool.Put(m)
-			mm := m.Master()
-			mm.StepCycle()
-			if err := mm.Dispatch(0, isa.LogicalInstr{Op: isa.LPrep0, Target: 0}); err != nil {
-				return mc.Outcome{Err: err}
-			}
-			for c := 0; c < rounds; c++ {
-				mm.StepCycle()
-			}
-			if err := mm.Dispatch(0, isa.LogicalInstr{Op: isa.LMeasZ, Target: 0}); err != nil {
-				return mc.Outcome{Err: err}
-			}
-			reps, ok := mm.RunUntilDrained(rounds + 50)
-			if !ok {
-				return mc.Outcome{Err: fmt.Errorf("core: memory trial %d did not drain", trial)}
-			}
-			got := -1
-			for _, r := range reps {
-				for _, res := range r.Results {
-					got = res.Bit
-				}
-			}
-			// hs and ctx.Heat are non-nil together; the conjunction names
-			// both receivers, which is the form the nil-gating contract
-			// (gateflow) can prove.
-			if hs != nil && ctx.Heat != nil {
-				ctx.Heat.Merge(hs.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols))
-			}
-			return mc.Outcome{Fail: got != 0}
-		})
-	if err := obs.closeCell(name, map[string]float64{"p": physRate, "rounds": float64(rounds)}, cell, trials, res); err != nil {
-		return MemoryRow{}, true, err
-	}
-	row = MemoryRow{
-		PhysRate: physRate,
-		Rounds:   rounds,
-		Failures: res.Failures,
-		WilsonLo: res.WilsonLo,
-		WilsonHi: res.WilsonHi,
-		Trials:   res.Trials,
-	}
-	return row, true, res.Err
-}
-
-// logicalFailRateObserved is the single implementation behind
-// logicalFailRate and ThresholdObserved: the windowed-decode memory
-// experiment with every observation hook nil-gated. ran=false means the
-// cell belongs to another shard; err reports a resume/shard mismatch
-// (trial-level failures stay inside the Result as before).
-func logicalFailRateObserved(reg *metrics.Registry, tr *tracing.Tracer, d int, p float64,
-	trials, workers int, obs SweepObs) (mc.Result, bool, error) {
-	cell := mc.Seed(ExperimentSeed, mc.F64(p), uint64(d))
-	name := fmt.Sprintf("threshold p=%g d=%d", p, d)
-	plan, err := obs.beginCell(name, cell, trials)
+// runCell is the one cell driver every sweep shares: sharding and resume
+// (beginCell), the heat collector for the cell's lattice, the engine
+// observers with any replayed prefix as mc.Observers.Prior, the engine
+// run, and the ledger summary (closeCell). engine is called only for a cell
+// that executes, so skipped and fully replayed cells compile nothing.
+// ran=false means another shard owns the cell and nothing was emitted; err
+// reports a resume/shard mismatch or a ledger write failure, while
+// trial-level failures stay inside the Result.
+func (s SweepObs) runCell(name string, cellSeed uint64, params map[string]float64,
+	trials, workers int, engine func() cellEngine) (res mc.Result, ran bool, err error) {
+	plan, err := s.beginCell(name, cellSeed, trials)
 	if err != nil {
 		return mc.Result{}, true, err
 	}
@@ -417,56 +283,9 @@ func logicalFailRateObserved(reg *metrics.Registry, tr *tracing.Tracer, d int, p
 	if plan.replayed != nil {
 		return *plan.replayed, true, nil
 	}
-	lat := surface.NewPlanar(d)
-	words := surface.CompileCycle(lat, surface.Steane, nil)
-	heat := obs.collector(lat.Rows, lat.Cols)
-	mobs := obs.observers(name, heat)
-	mobs.Prior = plan.prior
-	res := mc.RunObserved(trials, workers, cell, reg, tr, mobs,
-		func(trial int, seed uint64, ctx mc.TrialCtx) mc.Outcome {
-			tb := clifford.New(lat.NumQubits(), rand.New(rand.NewSource(int64(mc.Derive(seed, 0)))))
-			inj := noise.NewInjector(noise.Uniform(p), int64(mc.Derive(seed, 1)))
-			noisy := awg.New(tb, inj)
-			clean := awg.New(tb, nil)
-			run := func(u *awg.ExecutionUnit) map[int]int {
-				synd := make(map[int]int)
-				u.MeasSink = func(q, bit int) { synd[q] = bit }
-				for _, w := range words {
-					u.ExecuteWord(w)
-				}
-				return synd
-			}
-			hist := decoder.NewHistory(lat)
-			frame := decoder.NewPauliFrame()
-			win := decoder.NewWindowDecoder(decoder.NewGlobalDecoder(lat), d)
-			if ctx.Shard != nil {
-				win.SetInstr(decoder.NewInstr(ctx.Shard))
-			}
-			if ctx.Trace != nil {
-				win.SetTracer(ctx.Trace, 0)
-			}
-			if ctx.Heat != nil {
-				hist.SetHeat(ctx.Heat)
-				win.SetHeat(ctx.Heat)
-			}
-			run(clean)
-			hist.Absorb(run(clean))
-			// The noisy-round count tracks the code distance: the window
-			// decoder is d rounds deep, so fewer rounds would never fill —
-			// let alone exercise — a d=5 or d=7 cell's own decode window.
-			for round := 0; round < d; round++ {
-				inj.SetLocation(round, 0)
-				win.Absorb(hist.Absorb(run(noisy)), frame)
-			}
-			win.Absorb(hist.Absorb(run(clean)), frame)
-			win.Flush(frame)
-			logZ := lat.LogicalZ()
-			raw := tb.MeasureObservable(nil, logZ)
-			want := 1 - 2*frame.ParityOn(logZ, true)
-			return mc.Outcome{Fail: raw != 0 && raw != want}
-		})
-	if err := obs.closeCell(name, map[string]float64{"p": p, "d": float64(d)}, cell, trials, res); err != nil {
-		return res, true, err
-	}
-	return res, true, nil
+	e := engine()
+	obs := s.observers(name, s.collector(e.rows, e.cols))
+	obs.Prior = plan.prior
+	res = mc.Run(trials, workers, e.lane, cellSeed, s.Metrics, s.Tracer, obs, e.fn)
+	return res, true, s.closeCell(name, params, cellSeed, trials, res)
 }

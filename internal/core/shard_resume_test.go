@@ -26,17 +26,16 @@ func shardedSweep(t *testing.T, index, count, trials int, batched bool) ([]byte,
 		t.Fatalf("NewShard: %v", err)
 	}
 	obs := SweepObs{Ledger: lw, Shard: shard}
-	var rows []ThresholdRow
+	engine := scalarThreshold
 	if batched {
-		rows, err = ThresholdBatched(nil, nil, []float64{2e-3, 4e-3}, []int{3}, trials, 4, obs)
-	} else {
-		rows, err = ThresholdObserved(nil, nil, []float64{2e-3, 4e-3}, []int{3}, trials, 4, obs)
+		engine = batchedThreshold
 	}
+	rows, err := thresholdSweep([]float64{2e-3, 4e-3}, []int{3}, trials, 4, obs, engine)
 	if err != nil {
 		t.Fatalf("threshold sweep: %v", err)
 	}
 	emitted := len(rows)
-	_, ran, err := MachineMemoryObserved(nil, nil, 2e-3, 4, 6, 4, obs)
+	_, ran, err := MachineMemory(2e-3, 4, 6, 4, obs)
 	if err != nil {
 		t.Fatalf("memory sweep: %v", err)
 	}
@@ -101,10 +100,10 @@ func thresholdResumeRun(t *testing.T, trials int, ciWidth float64, res *ledger.R
 		t.Fatalf("NewWriter: %v", err)
 	}
 	reg := metrics.New()
-	rows, err := ThresholdObserved(reg, nil, []float64{2e-3, 4e-3}, []int{3}, trials, 4,
-		SweepObs{Ledger: lw, CIWidth: ciWidth, Resume: res})
+	rows, err := Threshold([]float64{2e-3, 4e-3}, []int{3}, trials, 4,
+		SweepObs{Metrics: reg, Ledger: lw, CIWidth: ciWidth, Resume: res})
 	if err != nil {
-		t.Fatalf("ThresholdObserved: %v", err)
+		t.Fatalf("Threshold: %v", err)
 	}
 	if err := lw.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -151,6 +150,38 @@ func TestResumeSkipsCompletedTrials(t *testing.T) {
 	}
 }
 
+// TestResumeMidLaneMatchesUninterrupted pins resume on the lane-batched
+// engine: a checkpoint cut inside a cell's first or second 64-trial lane
+// resumes at the first live trial — the lanes realign to it — and the
+// resumed ledger is byte-identical to the uninterrupted one while only the
+// missing trials execute.
+func TestResumeMidLaneMatchesUninterrupted(t *testing.T) {
+	const trials = 100
+	_, full, _ := thresholdResumeRun(t, trials, 0, nil)
+	lines := bytes.Split(bytes.TrimSuffix(full, []byte("\n")), []byte("\n"))
+	for _, tc := range []struct {
+		name         string
+		keep, replay int // ledger lines kept; trials replayed in total
+	}{
+		{"cell0-first-lane", 1 + 37, 37},
+		{"cell1-second-lane", 1 + trials + 1 + 70, trials + 70},
+	} {
+		cut := append(bytes.Join(lines[:tc.keep], []byte("\n")), '\n')
+		cut = append(cut, []byte(`{"record":"trial","cell":"thr`)...)
+		res, err := ledger.NewResume(cut)
+		if err != nil {
+			t.Fatalf("%s: NewResume: %v", tc.name, err)
+		}
+		_, resumed, executed := thresholdResumeRun(t, trials, 0, res)
+		if !bytes.Equal(resumed, full) {
+			t.Errorf("%s: resumed ledger differs from the uninterrupted bytes", tc.name)
+		}
+		if want := uint64(2*trials - tc.replay); executed != want {
+			t.Errorf("%s: executed %d trials, want %d", tc.name, executed, want)
+		}
+	}
+}
+
 // TestResumeConvergesUnderCIStop pins the interaction between resume and
 // adaptive stopping: prior outcomes feed the Wilson-width frontier before
 // any worker starts, so the stop decision — and the bytes — converge to the
@@ -183,7 +214,7 @@ func TestResumeRefusesForeignCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = ThresholdObserved(nil, nil, []float64{2e-3, 4e-3}, []int{3}, trials*2, 4,
+		_, err = Threshold([]float64{2e-3, 4e-3}, []int{3}, trials*2, 4,
 			SweepObs{Resume: res})
 		if err == nil || !strings.Contains(err.Error(), "budget") {
 			t.Errorf("budget mismatch not refused: %v", err)
@@ -206,7 +237,7 @@ func TestResumeRefusesForeignCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = ThresholdObserved(nil, nil, []float64{2e-3, 4e-3}, []int{3}, trials, 4,
+		_, err = Threshold([]float64{2e-3, 4e-3}, []int{3}, trials, 4,
 			SweepObs{Resume: res})
 		if err == nil || !strings.Contains(err.Error(), "does not match") {
 			t.Errorf("seed mismatch not refused: %v", err)

@@ -8,7 +8,7 @@ import (
 
 // TestNilCollectorIsFreeAndSafe pins the off-path contract the decode hot
 // loops rely on: every recording method on a nil *Collector is a no-op and
-// allocates nothing. This is what keeps RunWith at its committed 8
+// allocates nothing. This is what keeps mc.Run within its committed 8
 // allocs/call and decoder-exact-match-10 within its alloc budget when
 // -heatmap is not given.
 func TestNilCollectorIsFreeAndSafe(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package callgraph builds a whole-module static call graph over the
 // loader's type information, so the questvet analyzers can reason
 // *interprocedurally* about the repository's hot-path contract: the pinned
-// allocation budgets (mc.RunWith ≤ 8 allocs/call, the decoder's exact-match
+// allocation budgets (mc.Run ≤ 8 allocs/call, the decoder's exact-match
 // path ≤ 6 allocs/op) and the nil-gated-observability invariant hold along
 // every call chain rooted at a hot entry point, not just inside the function
 // that happens to contain the call. Like the rest of internal/lint it is
@@ -17,8 +17,11 @@
 //   - Function literals: a literal defined inside F is assumed callable from
 //     F (an over-approximation that covers the worker-goroutine and observer
 //     closures the engine is built from). Literals passed at a call site
-//     named by Config.ClosureRoots — the Monte-Carlo engines' trial-function
-//     parameters — additionally become hot roots themselves.
+//     named by Config.ClosureRoots — the Monte-Carlo engine's trial-function
+//     parameter — additionally become hot roots themselves, and so does
+//     every literal whose type is that parameter's function type, wherever
+//     it is built: a trial closure stored in a struct field or variable on
+//     its way to the engine is still called once per lane.
 //   - Gating: an edge, allocation site, or tracked observer call that is
 //     dominated by a nil guard on an observer-class expression (a tracer,
 //     collector, sampler, recorder, metrics registry, a func-typed hook, or
@@ -30,11 +33,12 @@
 // Soundness envelope: calls through plain func-typed values (not literals,
 // not named functions) produce no edge — the repository's hot paths receive
 // such values only at the engine boundary, where Config.ClosureRoots roots
-// the closures directly. Dynamic dispatch outside the module (stdlib
-// callbacks) is likewise invisible. The graph over-approximates everywhere
-// else, which is the right failure mode for a lint: a reported path exists
-// syntactically even if runtime configuration never takes it, and the
-// //quest:allow + budget-file machinery absorbs the deliberate cases.
+// the closures by call site and by type. Dynamic dispatch outside the
+// module (stdlib callbacks) is likewise invisible. The graph
+// over-approximates everywhere else, which is the right failure mode for a
+// lint: a reported path exists syntactically even if runtime configuration
+// never takes it, and the //quest:allow + budget-file machinery absorbs the
+// deliberate cases.
 package callgraph
 
 import (
@@ -57,15 +61,17 @@ const HotDirective = "quest:hotpath"
 // Config selects the roots and the observer vocabulary of a build.
 type Config struct {
 	// Roots are function specs (see Lookup) naming hot entry points:
-	// "internal/mce.(*MCE).StepCycle", "internal/mc.RunWith". Package paths
+	// "internal/mce.(*MCE).StepCycle", "internal/mc.Run". Package paths
 	// are suffix-matched so the same spec works on the real module and on
 	// analysistest fixture modules.
 	Roots []string
 	// ClosureRoots are function specs of callees whose function-literal (or
 	// named-function) arguments are hot roots: the trial closures handed to
-	// mc.Run/RunWith/RunTraced/RunObserved/RunBatch run once per trial and
-	// carry the per-trial hot path even though the engine calls them through
-	// a func value the graph cannot see.
+	// mc.Run run once per lane of trials and carry the per-trial hot path
+	// even though the engine calls them through a func value the graph
+	// cannot see. Every literal whose type is identical to one of the
+	// callee's function-typed parameters is rooted too, so a closure that
+	// reaches the engine through a field or variable is not missed.
 	ClosureRoots []string
 	// ObserverPkgs are package-path suffixes whose named types gate hot
 	// paths ("internal/tracing", "internal/metrics", ...). A nil guard on an
@@ -85,7 +91,7 @@ type Node struct {
 	Lit *ast.FuncLit
 	Pkg *loader.Package
 	Pos token.Pos
-	// Name is the canonical spec-style name: "quest/internal/mc.RunWith",
+	// Name is the canonical spec-style name: "quest/internal/mc.Run",
 	// "quest/internal/mce.(*MCE).StepCycle"; literals append ".funcN" to
 	// their enclosing function's name in syntax order.
 	Name string
@@ -232,6 +238,7 @@ func Build(prog *loader.Program, pkgs []*loader.Package, cfg Config) *Graph {
 			addRoot(n, n.root)
 		}
 	}
+	b.rootTypedLiterals()
 	for _, n := range b.closureRoots {
 		addRoot(n, "trial closure")
 	}
@@ -338,7 +345,7 @@ func bfs(roots []*Node, followGated bool) map[*Node]*Node {
 }
 
 // Lookup resolves a function spec to nodes. Specs name a package path (or a
-// path suffix) and a function: "internal/mc.RunWith",
+// path suffix) and a function: "internal/mc.Run",
 // "quest/internal/mce.(*MCE).StepCycle", "internal/decoder.Lattice.Index".
 // Pointerness of the receiver is ignored when matching.
 func (g *Graph) Lookup(spec string) []*Node {
@@ -364,7 +371,7 @@ func (g *Graph) Lookup(spec string) []*Node {
 }
 
 // DisplayName renders a node name for diagnostics: the module prefix is
-// trimmed so messages read "internal/mc.RunWith" regardless of module name.
+// trimmed so messages read "internal/mc.Run" regardless of module name.
 func (g *Graph) DisplayName(n *Node) string {
 	return strings.TrimPrefix(strings.TrimPrefix(n.Name, g.Module), "/")
 }

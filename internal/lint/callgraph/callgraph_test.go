@@ -58,6 +58,8 @@ func TestBuildRootsAndUnresolved(t *testing.T) {
 		"app.GateDemo":    "//" + HotDirective,
 		"app.Drive.func1": "trial closure", // literal handed to RunWith
 		"app.trialFn":     "trial closure", // named function handed to RunWith
+		// literal of RunWith's parameter type, handed over through a field
+		"app.driveField.func1": "trial closure",
 	}
 	got := map[string]string{}
 	for _, r := range g.Roots() {
@@ -77,6 +79,7 @@ func TestHotReachability(t *testing.T) {
 	g := buildFixture(t)
 	hot := []string{
 		"app.Drive", "app.Drive.func1", "app.Marked", "app.GateDemo", "app.trialFn",
+		"app.driveField.func1", "app.fieldTrial",
 		"internal/mc.RunWith", "internal/mc.Helper", "internal/mc.Dispatch",
 		// Interface dispatch bounds s.Put(1) to both in-module impls.
 		"internal/mc.Fast.Put", "internal/mc.(*Slow).Put",
@@ -93,7 +96,7 @@ func TestHotReachability(t *testing.T) {
 		// onlyGated is called only inside `if tr != nil`: gated edges do not
 		// extend hot reachability.
 		"app.onlyGated",
-		"app.driveNamed", "app.earlyReturn", "app.wrongGuard", "app.allocZoo",
+		"app.driveNamed", "app.driveField", "app.earlyReturn", "app.wrongGuard", "app.allocZoo",
 	}
 	for _, name := range cold {
 		if g.Hot(node(t, g, name)) {

@@ -39,6 +39,17 @@ func trialFn() bool { return false }
 
 func driveNamed() int { return mc.RunWith(1, trialFn) }
 
+// trialSet carries a trial closure to the engine through a field: the
+// literal is rooted by its type, not by the call site.
+type trialSet struct{ fn func() bool }
+
+func driveField() int {
+	ts := trialSet{fn: func() bool { return fieldTrial() }}
+	return mc.RunWith(1, ts.fn)
+}
+
+func fieldTrial() bool { return true }
+
 func earlyReturn(tr *tracing.Tracer) {
 	if tr == nil {
 		return

@@ -384,6 +384,39 @@ func (w *walker) checkClosureRoots(call *ast.CallExpr, callee *types.Func) {
 	}
 }
 
+// rootTypedLiterals roots every function literal whose type is identical
+// to a function-typed parameter of a configured closure root (mc.BatchFn
+// for mc.Run), in node order. Call-site rooting alone misses a literal that
+// reaches the engine through a struct field or a variable.
+func (b *builder) rootTypedLiterals() {
+	var params []types.Type
+	for _, spec := range b.cfg.ClosureRoots {
+		for _, n := range b.g.Lookup(spec) {
+			sig := n.Fn.Type().(*types.Signature)
+			for i := 0; i < sig.Params().Len(); i++ {
+				if t, ok := sig.Params().At(i).Type().Underlying().(*types.Signature); ok {
+					params = append(params, t)
+				}
+			}
+		}
+	}
+	if len(params) == 0 {
+		return
+	}
+	for _, n := range b.g.nodes {
+		if n.Lit == nil {
+			continue
+		}
+		lt := n.Pkg.Info.TypeOf(n.Lit)
+		for _, t := range params {
+			if lt != nil && types.Identical(lt, t) {
+				b.closureRoots = append(b.closureRoots, n)
+				break
+			}
+		}
+	}
+}
+
 func (b *builder) matchesClosureRoot(callee *types.Func) bool {
 	for _, spec := range b.cfg.ClosureRoots {
 		p, recv, fn, ok := parseSpec(spec)

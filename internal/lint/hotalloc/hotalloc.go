@@ -1,6 +1,6 @@
 // Package hotalloc defines the hotalloc analyzer: a static, interprocedural
 // audit of the repository's pinned allocation budgets. The benchmark pins
-// (TestRunWithAllocs ≤ 8 allocs/call, TestMatchHeatOffAllocs ≤ 6 allocs/op)
+// (TestRunAllocs ≤ 8 allocs/call, TestMatchHeatOffAllocs ≤ 6 allocs/op)
 // catch regressions only when the benchmarks run and only on the configs
 // they exercise; hotalloc makes the same contract auditable at lint time by
 // counting the syntactic allocation sites reachable from each budgeted hot
@@ -23,14 +23,14 @@ import (
 
 // A Budget pins the static allocation-site ceiling for one hot entry point.
 type Budget struct {
-	// Root is a callgraph function spec: "internal/mc.RunWith",
+	// Root is a callgraph function spec: "internal/mc.Run",
 	// "internal/decoder.(*GlobalDecoder).Match".
 	Root string `json:"root"`
 	// MaxSites is the committed ceiling on ungated allocation sites
 	// reachable from Root (measured on a clean tree; bump deliberately).
 	MaxSites int `json:"max_sites"`
 	// BenchAllocs, when non-zero, records the runtime allocs/op pin the
-	// static budget shadows (8 for RunWith, 6 for the decoder exact-match
+	// static budget shadows (8 for mc.Run, 6 for the decoder exact-match
 	// path) so the two stay cross-checked in one reviewed file.
 	BenchAllocs int `json:"bench_allocs,omitempty"`
 	// Note documents what the entry point covers.

@@ -2,9 +2,9 @@
 // nil-gated (tracing and heatmap hooks) or whose arguments could allocate
 // (metrics instruments).
 //
-// The pinned allocation budgets — mc.RunWith ≤ 8 allocs/call with
+// The pinned allocation budgets — mc.Run ≤ 8 allocs/call with
 // observers off, the decoder's exact-match path ≤ 6 allocs/op with heat
-// off (TestRunWithAllocs, TestMatchHeatOffAllocs) — hold only because
+// off (TestRunAllocs, TestMatchHeatOffAllocs) — hold only because
 // every observability hook on a hot path costs exactly one predictable
 // branch when disabled. The recorder methods of *tracing.Tracer,
 // *heatmap.Collector and the telemetry *events.Sampler are no-ops on a nil

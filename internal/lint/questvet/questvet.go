@@ -8,7 +8,7 @@
 //     heatmaps, or reports.
 //   - nogate (hot-path packages): every tracing/heatmap hook nil-gated,
 //     every metrics argument allocation-free, protecting the pinned alloc
-//     budgets (mc.RunWith ≤ 8 allocs/call, decoder exact-match ≤ 6
+//     budgets (mc.Run ≤ 8 allocs/call, decoder exact-match ≤ 6
 //     allocs/op with observers off).
 //   - seedsrc (simulation/MC packages): no wall clock, pid, or global
 //     math/rand source; all entropy flows from the experiment seed through
@@ -124,21 +124,17 @@ func Names() []string {
 }
 
 // GraphConfig declares the hot roots and observer vocabulary of the
-// module's call graph: the Monte-Carlo engines (and the per-trial closures
-// handed to them), the global decoder's match path, and the MCE/master
-// cycle loops.
+// module's call graph: the Monte-Carlo engine (and the trial closures handed
+// to it), the global decoder's match path, and the MCE/master cycle loops.
 func GraphConfig() callgraph.Config {
-	mcEntry := []string{
-		"internal/mc.Run", "internal/mc.RunWith", "internal/mc.RunTraced",
-		"internal/mc.RunObserved", "internal/mc.RunBatch",
-	}
 	return callgraph.Config{
-		Roots: append(append([]string{}, mcEntry...),
+		Roots: []string{
+			"internal/mc.Run",
 			"internal/decoder.(*GlobalDecoder).Match",
 			"internal/mce.(*MCE).StepCycle",
 			"internal/master.(*Master).StepCycle",
-		),
-		ClosureRoots: mcEntry,
+		},
+		ClosureRoots: []string{"internal/mc.Run"},
 		ObserverPkgs: []string{
 			"internal/tracing", "internal/heatmap", "internal/events",
 			"internal/bwprofile", "internal/metrics", "internal/ledger",

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"quest/internal/lint/analysis"
+	"quest/internal/lint/callgraph"
 	"quest/internal/lint/loader"
 )
 
@@ -174,7 +175,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 }
 
 func TestParseBudgets(t *testing.T) {
-	good := `{"schema":"quest-lint-budget/1","budgets":[{"root":"internal/mc.RunWith","max_sites":8,"bench_allocs":8}]}`
+	good := `{"schema":"quest-lint-budget/1","budgets":[{"root":"internal/mc.Run","max_sites":8,"bench_allocs":8}]}`
 	budgets, err := ParseBudgets([]byte(good))
 	if err != nil || len(budgets) != 1 || budgets[0].MaxSites != 8 {
 		t.Fatalf("ParseBudgets = %+v, %v", budgets, err)
@@ -259,7 +260,7 @@ func TestWriteSARIFShape(t *testing.T) {
 // TestModuleCleanAgainstBaseline is the tier-1 pin for the ISSUE's
 // acceptance bullet: the full suite over the real module, diffed against
 // the committed baseline, reports zero problems; and the committed budget
-// file cross-checks the runtime bench pins (RunWith ≤ 8 allocs/call,
+// file cross-checks the runtime bench pins (mc.Run ≤ 8 allocs/call,
 // decoder exact-match ≤ 6 allocs/op).
 func TestModuleCleanAgainstBaseline(t *testing.T) {
 	if testing.Short() {
@@ -278,11 +279,11 @@ func TestModuleCleanAgainstBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The budget file must carry the two bench-pinned entry points with the
-	// pins' exact values (TestRunWithAllocs in internal/mc,
+	// pins' exact values (TestRunAllocs in internal/mc,
 	// TestMatchHeatOffAllocs in internal/decoder). If a pin changes, both
 	// files change together, in review.
 	pins := map[string]int{
-		"internal/mc.RunWith":                     8,
+		"internal/mc.Run":                         8,
 		"internal/decoder.(*GlobalDecoder).Match": 6,
 	}
 	for root, want := range pins {
@@ -323,5 +324,47 @@ func TestModuleCleanAgainstBaseline(t *testing.T) {
 	}
 	for _, p := range rep.Diff(base) {
 		t.Errorf("baseline drift: %s", p)
+	}
+}
+
+// TestTrialBodiesAreHot pins that the production trial bodies stay inside
+// the hot-path audit. core hands mc.Run its trial closures through a
+// cellEngine field, so they are rooted by their mc.BatchFn type; if that
+// rooting broke, gateflow and hotalloc would silently stop checking them
+// while TestModuleCleanAgainstBaseline kept passing.
+func TestTrialBodiesAreHot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module")
+	}
+	root, err := loader.FindRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := loader.NewProgram(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := prog.LoadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := callgraph.Build(prog, pkgs, GraphConfig())
+	for _, spec := range []string{
+		"internal/core.(*thresholdProgram).runLane",
+		"internal/core.(*memoryTrial).run",
+	} {
+		ns := g.Lookup(spec)
+		if len(ns) != 1 {
+			t.Fatalf("Lookup(%s) = %d nodes, want 1", spec, len(ns))
+		}
+		path := g.HotPath(ns[0])
+		if path == nil {
+			t.Errorf("%s is not hot", spec)
+			continue
+		}
+		if why := g.RootReason(path[0]); why != "trial closure" {
+			t.Errorf("%s is hot via %s (root reason %q), want a trial closure root",
+				spec, g.PathString(path), why)
+		}
 	}
 }

@@ -92,10 +92,10 @@ func Derive(seed uint64, lane uint64) uint64 {
 	return Seed(seed, lane)
 }
 
-// wallClock is the engine's single wall-clock read, shared by the scalar
-// and batched run loops. It feeds only the mc.worker_busy_ns gauge and the
-// mc.trial.ns latency histogram; seeds and simulated time derive from the
-// experiment seed via the SplitMix64 mixers, never from here.
+// wallClock is the engine's single wall-clock read. It feeds only the
+// mc.worker_busy_ns gauge and the mc.trial.ns latency histogram; seeds and
+// simulated time derive from the experiment seed via the SplitMix64
+// mixers, never from here.
 func wallClock() time.Time {
 	return time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
 }
@@ -123,51 +123,16 @@ func Wilson(failures, trials int, z float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// Run executes trials over a worker pool and reduces the outcomes.
-//
-// workers <= 0 uses GOMAXPROCS; the pool never exceeds the trial count.
-// fn is called once per trial index with a seed derived from
-// TrialSeed(cellSeed, trial); it must take all randomness from that seed
-// and must not touch shared mutable state (shared read-only tables — a
-// compiled lattice, a syndrome schedule — are fine). Under those rules the
-// Result is bit-identical for every worker count.
-//
-// Failure counts and the error, if any, are reduced over the trial-indexed
-// outcome store in trial order after the pool drains, never in completion
-// order.
-func Run(trials, workers int, cellSeed uint64, fn func(trial int, seed uint64) Outcome) Result {
-	return RunWith(trials, workers, cellSeed, nil,
-		func(trial int, seed uint64, _ *metrics.Registry) Outcome {
-			return fn(trial, seed)
-		})
-}
-
-// RunWith is Run with per-worker metrics shards. Each worker goroutine owns a
-// private Registry so trial instrumentation (decoder latencies, machine
-// counters) is recorded without any cross-worker contention; when the pool
-// drains, every shard is merged into reg in worker order. Because fixed-bucket
-// histograms and counters merge by addition, the merged totals are independent
-// of how trials were distributed across workers — only wall-clock gauges
-// ("mc.trials_per_sec", "mc.worker_utilization") reflect this particular run.
-//
-// reg == nil disables aggregation: fn receives a nil shard and must not record
-// (core's drivers skip SetInstr wiring in that case, keeping the metrics-off
-// path allocation-free). Determinism of the simulation Result is unchanged —
-// instruments observe the computation, they never feed back into it.
-func RunWith(trials, workers int, cellSeed uint64, reg *metrics.Registry,
-	fn func(trial int, seed uint64, shard *metrics.Registry) Outcome) Result {
-	return run(trials, workers, cellSeed, reg, nil, Observers{}, fn, nil, nil)
-}
-
 // Progress is a snapshot handed to a progress sink while a run is in
 // flight. Completed and Failures count in completion order (display only —
 // they may differ between runs with different worker counts until the pool
-// drains); the Wilson interval is computed over exactly those counts. Under
-// CI early stop the snapshots instead report the trial-ordered frontier of
-// consecutive completed trials, so Completed never exceeds the effective
-// trial count even when in-flight workers execute overrun trials. The
-// final call of a run carries Done=true and the trial-order-exact Result
-// numbers.
+// drains), starting from the replayed Observers.Prior prefix so a resumed
+// run's counts share the denominator of its Budget; the Wilson interval is
+// computed over exactly those counts. Under CI early stop the snapshots
+// instead report the trial-ordered frontier of consecutive completed
+// trials, so Completed never exceeds the effective trial count even when
+// in-flight workers execute overrun trials. The final call of a run
+// carries Done=true and the trial-order-exact Result numbers.
 type Progress struct {
 	Completed int
 	Failures  int
@@ -179,27 +144,8 @@ type Progress struct {
 	Done               bool
 }
 
-// TrialCtx carries the per-trial observation hooks into an observed trial
-// function. Any field may be nil when the corresponding observer is off;
-// all three are nil-gated, so fn records unconditionally.
-type TrialCtx struct {
-	// Shard is the worker-private metrics registry (nil when metrics off).
-	Shard *metrics.Registry
-	// Trace is the worker-private tracer shard (nil when tracing off).
-	Trace *tracing.Tracer
-	// Heat is the trial-private heatmap shard (nil when heatmaps off).
-	// Trial-private rather than worker-private so the merged heatmap stays
-	// byte-identical for any worker count even under CI early stop, where
-	// different worker counts execute different overrun trials.
-	Heat *heatmap.Collector
-	// BW is the trial-private bandwidth-profile shard (nil when profiling
-	// off), trial-private for the same worker-count-invariance reason as
-	// Heat.
-	BW *bwprofile.Recorder
-}
-
-// Observers bundles the optional observation hooks of RunObserved. The zero
-// value observes nothing and adds nothing to the hot path.
+// Observers bundles the optional observation hooks of Run. The zero value
+// observes nothing and adds nothing to the hot path.
 type Observers struct {
 	// Progress, when non-nil, is called every ProgressEvery completed
 	// trials (default trials/100, min 1) and once more with Done=true
@@ -214,20 +160,20 @@ type Observers struct {
 	// decision is a pure function of trial-ordered outcomes — a frontier
 	// over consecutive completed trials, never completion order — so the
 	// effective trial count, Result and ledger are identical for any
-	// worker count. Workers may execute a few trials beyond the stop
-	// point before observing it; those outcomes are discarded from the
-	// Result (but metrics/tracing shards, which observe execution, still
-	// see them).
+	// worker count and lane width. Workers may execute trials beyond the
+	// stop point (up to the rest of an in-flight lane each) before
+	// observing it; those outcomes are discarded from the Result (but
+	// metrics/tracing shards, which observe execution, still see them).
 	CIWidth   float64
 	MinTrials int
 
 	// Heat, when non-nil, gives every trial a private shard (Heat.NewShard)
-	// via TrialCtx; shards of the effective trials are merged into Heat in
+	// via BatchCtx; shards of the effective trials are merged into Heat in
 	// trial order after the pool drains.
 	Heat *heatmap.Collector
 
 	// BW, when non-nil, gives every trial a private bandwidth-profile shard
-	// (BW.NewShard) via TrialCtx; shards of the effective trials are merged
+	// (BW.NewShard) via BatchCtx; shards of the effective trials are merged
 	// into BW in trial order after the pool drains, so the quest-bw/1
 	// waveform bytes are identical for any worker count.
 	BW *bwprofile.Recorder
@@ -244,11 +190,12 @@ type Observers struct {
 	// just run. Because outcomes are pure functions of (cellSeed, trial),
 	// a Prior prefix recorded by an earlier run leaves the Result and the
 	// ledger bytes identical to a full re-run — it only skips the work.
-	// Prefixes longer than the trial budget are truncated. Replayed trials
-	// are invisible to the wall-clock instruments (mc.trials counts only
-	// executed trials) and contribute empty heat shards; RunBatch ignores
-	// Prior entirely (its callers re-execute whole cells instead, which is
-	// slower but byte-identical).
+	// Prefixes longer than the trial budget are truncated. Honoured at every
+	// lane width: lanes start at the first live trial, so a prefix ending
+	// mid-lane needs no re-execution. Replayed trials are invisible to the
+	// wall-clock instruments (mc.trials counts only executed trials) and
+	// contribute empty heat and bandwidth shards; the live progress counts
+	// start from them.
 	Prior []Outcome
 }
 
@@ -256,29 +203,6 @@ type Observers struct {
 // handful of trials are wide but not infinitely so, and stopping a cell on
 // three lucky trials would be statistics malpractice.
 const defaultMinStopTrials = 10
-
-// RunObserved is RunTraced plus the Observers hooks: live progress,
-// adaptive CI early stop, per-trial heatmap shards and a trial-order
-// outcome sink. A zero Observers makes it equivalent to RunTraced.
-func RunObserved(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *tracing.Tracer,
-	obs Observers, fn func(trial int, seed uint64, ctx TrialCtx) Outcome) Result {
-	return run(trials, workers, cellSeed, reg, tr, obs, nil, nil, fn)
-}
-
-// RunTraced is RunWith with per-worker *tracing* shards as well: when tr is
-// non-nil each worker goroutine owns a private Tracer (sized like tr) that fn
-// may record trial events into without cross-worker lock contention; after
-// the pool drains every shard is merged into tr in worker order. The merged
-// event *multiset* is independent of how trials were distributed across
-// workers, and because the exporter canonically sorts, WriteJSON output is
-// byte-identical for every worker count (pinned by TestRunTracedDeterminism).
-//
-// tr == nil disables tracing: fn receives a nil trace shard, which every
-// tracing method treats as off.
-func RunTraced(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *tracing.Tracer,
-	fn func(trial int, seed uint64, shard *metrics.Registry, trace *tracing.Tracer) Outcome) Result {
-	return run(trials, workers, cellSeed, reg, tr, Observers{}, nil, fn, nil)
-}
 
 // stopState is the CI-convergence early-stop tracker. Workers report each
 // finished trial; under the mutex a frontier advances over *consecutive*
@@ -374,7 +298,9 @@ type progressState struct {
 }
 
 // newProgressState builds the throttle, or returns nil when the sink is off.
-func newProgressState(fn func(Progress), every, trials int, st *stopState) *progressState {
+// The counters start from the replayed prior outcomes, so a resumed run
+// reports progress against its full budget rather than restarting at zero.
+func newProgressState(fn func(Progress), every, trials int, st *stopState, prior []Outcome) *progressState {
 	if fn == nil {
 		return nil
 	}
@@ -384,7 +310,13 @@ func newProgressState(fn func(Progress), every, trials int, st *stopState) *prog
 			every = 1
 		}
 	}
-	return &progressState{fn: fn, every: every, budget: trials, st: st}
+	ps := &progressState{fn: fn, every: every, budget: trials, st: st, completed: len(prior)}
+	for _, o := range prior {
+		if o.Fail {
+			ps.failures++
+		}
+	}
+	return ps
 }
 
 func (ps *progressState) observe(fail bool) {
@@ -408,50 +340,95 @@ func (ps *progressState) observe(fail bool) {
 	ps.fn(Progress{Completed: completed, Failures: failures, Budget: ps.budget, WilsonLo: lo, WilsonHi: hi})
 }
 
-// run is the single pool implementation behind Run/RunWith/RunTraced/
-// RunObserved. Exactly one of fn (metrics-only), tfn (metrics+tracing) and
-// ofn (fully observed) is non-nil; taking the callback shapes as plain
-// parameters — instead of adapting one into the other — keeps the untraced
-// RunWith path free of wrapper-closure allocations, which the committed
-// benchmark baseline and TestRunWithAllocs count exactly.
-func run(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *tracing.Tracer, obs Observers,
-	fn func(trial int, seed uint64, shard *metrics.Registry) Outcome,
-	tfn func(trial int, seed uint64, shard *metrics.Registry, trace *tracing.Tracer) Outcome,
-	ofn func(trial int, seed uint64, ctx TrialCtx) Outcome) Result {
+// LaneWidth is the widest lane Run hands a trial function: a batched engine
+// packs one trial per bit of a uint64, so noise masks and syndrome lanes
+// combine with single word ops.
+const LaneWidth = 64
+
+// BatchCtx carries the observation hooks into one lane of a trial function.
+// Shard and Trace are worker-private; Heat and BW hold one trial-private
+// shard per trial in the lane, indexed like the lane's seeds, so the merged
+// heatmaps and bandwidth waveforms stay worker-count independent even under
+// CI early stop, where different worker counts execute different overrun
+// trials. Every field is nil when its observer is off.
+type BatchCtx struct {
+	// Shard is the worker-private metrics registry.
+	Shard *metrics.Registry
+	// Trace is the worker-private tracer shard.
+	Trace *tracing.Tracer
+	// Heat[i] is the private heat shard of trial start+i.
+	Heat []*heatmap.Collector
+	// BW[i] is the private bandwidth-profile shard of trial start+i.
+	BW []*bwprofile.Recorder
+}
+
+// BatchFn executes one lane of consecutive trials. start is the first trial
+// index; seeds[i] is TrialSeed(cellSeed, start+i); out[i] must be filled
+// with trial start+i's outcome. fn must take all randomness from the
+// per-trial seeds and share no mutable state across lanes beyond read-only
+// tables and worker-private scratch.
+type BatchFn func(start int, seeds []uint64, ctx BatchCtx, out []Outcome)
+
+// worker is one pool goroutine's private state, allocated together so the
+// pool costs one allocation however many hooks are off.
+type worker struct {
+	shard  *metrics.Registry
+	busyNs int64 // time spent inside fn
+	seeds  [LaneWidth]uint64
+}
+
+// Run executes trials over a worker pool and reduces the outcomes.
+//
+// Workers claim lanes of up to lane consecutive trials (1 ≤ lane ≤
+// LaneWidth): lane 1 hands out one trial at a time, LaneWidth lets fn
+// amortize per-trial setup and bit-slice per-trial state across a word.
+// Lanes start at the first live trial after any Observers.Prior prefix, and
+// only the final lane may be short. workers <= 0 uses GOMAXPROCS; the pool
+// never exceeds the lane count.
+//
+// Under fn's determinism rules (see BatchFn) the Result, CI early stop,
+// heat and bandwidth merges and the trial-order Sink are identical for every
+// worker count and every lane width: outcomes are recorded per trial index
+// and reduced in trial order after the pool drains, never in completion
+// order.
+//
+// reg == nil disables metrics: fn sees a nil Shard. Otherwise each worker
+// records into a private Registry, merged into reg in worker order when the
+// pool drains; counters and fixed-bucket histograms merge by addition, so
+// the totals are worker-count independent and only the wall-clock gauges
+// (mc.trials_per_sec, mc.worker_utilization) reflect this particular run.
+// The mc.trial.ns histogram observes each lane's duration amortized per
+// trial. tr == nil disables tracing; otherwise each worker records into a
+// private Tracer merged into tr, whose exporter sorts canonically, so the
+// trace JSON is byte-identical for every worker count. Instruments observe
+// the computation; they never feed back into it.
+func Run(trials, workers, lane int, cellSeed uint64, reg *metrics.Registry, tr *tracing.Tracer,
+	obs Observers, fn BatchFn) Result {
 	if trials <= 0 {
 		return Result{}
 	}
 	// Replayed prior outcomes occupy the leading trial slots without being
-	// executed: workers start claiming at the first live trial, and the
-	// CI-stop frontier consumes the replayed prefix first so a resumed run
-	// stops exactly where the uninterrupted run would have.
-	prior := len(obs.Prior)
-	if prior > trials {
-		prior = trials
-	}
+	// executed: lanes start at the first live trial, and the CI-stop
+	// frontier consumes the replayed prefix first so a resumed run stops
+	// exactly where the uninterrupted run would have.
+	prior := min(len(obs.Prior), trials) // single-assigned: captured by value
+	lanes := (trials - prior + lane - 1) / lane
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > trials-prior {
-		workers = trials - prior
+	if workers > lanes {
+		workers = lanes
 	}
 	outcomes := make([]Outcome, trials)
 	copy(outcomes, obs.Prior[:prior])
-	var next atomic.Int64
-	if prior > 0 {
-		next.Store(int64(prior))
-	}
+	var nextLane atomic.Int64
 	var wg sync.WaitGroup
-	shards := make([]*metrics.Registry, workers)
-	// nil when tracing is off, and assigned exactly once so the goroutine
-	// closure captures the header by value: the untraced RunWith path stays
-	// allocation-identical to the pre-tracing engine, which the committed
-	// benchmark baseline counts exactly (threshold-cell-d3 allocs/op).
+	pool := make([]worker, workers)
+	// Observer state is nil when the corresponding hook is off, and every
+	// local here is assigned exactly once so the goroutine closure captures
+	// plain values, not heap cells: the unobserved path allocates nothing
+	// extra (pinned by TestRunAllocs).
 	traces := makeTraceShards(tr, workers)
-	// Observer state is nil when the corresponding Observers field is off,
-	// and every local here is assigned exactly once so the goroutine
-	// closure captures plain values, not heap cells: the unobserved paths
-	// allocate nothing extra (pinned by TestRunWithAllocs).
 	st := newStopState(obs.CIWidth, obs.MinTrials, trials)
 	if st != nil {
 		// Feed the replayed prefix to the stop frontier before any worker
@@ -461,21 +438,21 @@ func run(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *tracin
 			st.observe(t, outcomes[t].Fail)
 		}
 	}
-	prog := newProgressState(obs.Progress, obs.ProgressEvery, trials, st)
+	prog := newProgressState(obs.Progress, obs.ProgressEvery, trials, st, outcomes[:prior])
 	heatParent := obs.Heat
 	heatShards := makeHeatShards(heatParent, trials)
 	bwParent := obs.BW
 	bwShards := makeBWShards(bwParent, trials)
-	busyNs := make([]int64, workers) // per-worker time spent inside fn
 	start := wallClock()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		if reg != nil {
-			shards[w] = metrics.New()
+			pool[w].shard = metrics.New()
 		}
 		go func(w int) {
 			defer wg.Done()
-			shard := shards[w]
+			ws := &pool[w]
+			shard := ws.shard
 			var trace *tracing.Tracer
 			if traces != nil {
 				trace = traces[w]
@@ -488,55 +465,62 @@ func run(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *tracin
 				nFails = shard.Counter("mc.failures")
 			}
 			for {
-				t := int(next.Add(1)) - 1
-				if t >= trials {
+				lo := prior + int(nextLane.Add(1)-1)*lane
+				if lo >= trials {
 					return
 				}
-				if st != nil && t >= int(st.stopAt.Load()) {
+				if st != nil && lo >= int(st.stopAt.Load()) {
 					return
 				}
+				n := lane
+				if lo+n > trials {
+					n = trials - lo
+				}
+				seeds := ws.seeds[:n]
+				for i := range seeds {
+					seeds[i] = TrialSeed(cellSeed, lo+i)
+				}
+				ctx := BatchCtx{Shard: shard, Trace: trace}
+				// Gate on the parents, not the shard slices: they are
+				// non-nil together, and the receiver gate is the form the
+				// nil-gating contract (gateflow) can prove.
+				if heatParent != nil {
+					ctx.Heat = heatShards[lo : lo+n]
+					for i := range ctx.Heat {
+						ctx.Heat[i] = heatParent.NewShard()
+					}
+				}
+				if bwParent != nil {
+					ctx.BW = bwShards[lo : lo+n]
+					for i := range ctx.BW {
+						ctx.BW[i] = bwParent.NewShard()
+					}
+				}
+				out := outcomes[lo : lo+n]
 				t0 := wallClock()
-				var out Outcome
-				switch {
-				case ofn != nil:
-					// Gate on the parents, not the shard slices: the slices
-					// are non-nil exactly when the parents are, and the
-					// receiver gate is the form the nil-gating contract
-					// (gateflow) can prove.
-					var heat *heatmap.Collector
-					if heatParent != nil {
-						heat = heatParent.NewShard()
-						heatShards[t] = heat
-					}
-					var bw *bwprofile.Recorder
-					if bwParent != nil {
-						bw = bwParent.NewShard()
-						bwShards[t] = bw
-					}
-					out = ofn(t, TrialSeed(cellSeed, t), TrialCtx{Shard: shard, Trace: trace, Heat: heat, BW: bw})
-				case tfn != nil:
-					out = tfn(t, TrialSeed(cellSeed, t), shard, trace)
-				default:
-					out = fn(t, TrialSeed(cellSeed, t), shard)
-				}
+				fn(lo, seeds, ctx, out)
 				// Capture the duration once: busyNs (worker utilization)
 				// and the mc.trial.ns histogram must observe the same
 				// value, or the two can never reconcile.
 				dur := time.Since(t0)
-				busyNs[w] += int64(dur)
+				ws.busyNs += int64(dur)
 				if shard != nil {
-					trialNs.Observe(float64(dur))
-					nTrials.Inc()
-					if out.Fail {
+					perTrial := float64(dur) / float64(n)
+					for i := 0; i < n; i++ {
+						trialNs.Observe(perTrial)
+					}
+					nTrials.Add(uint64(n))
+				}
+				for i, o := range out {
+					if shard != nil && o.Fail {
 						nFails.Inc()
 					}
-				}
-				outcomes[t] = out
-				if st != nil {
-					st.observe(t, out.Fail)
-				}
-				if prog != nil {
-					prog.observe(out.Fail)
+					if st != nil {
+						st.observe(lo+i, o.Fail)
+					}
+					if prog != nil {
+						prog.observe(o.Fail)
+					}
 				}
 			}
 		}(w)
@@ -549,21 +533,21 @@ func run(trials, workers int, cellSeed uint64, reg *metrics.Registry, tr *tracin
 		}
 	}
 	// effective is the trial-order prefix the Result covers: the whole
-	// budget, or the CI-stop point. Trials executed past the stop point by
-	// in-flight workers are discarded from the Result (and from the heat
-	// merge and sink below), which is what keeps everything derived from
-	// outcomes worker-count independent.
+	// budget, or the CI-stop point. The frontier only fires once every
+	// trial before it is done, so every outcome and shard below the cut was
+	// executed (or replayed) even though lanes complete out of order.
+	// Trials executed past the stop point by in-flight workers are
+	// discarded from the Result, the merges and the Sink, which is what
+	// keeps everything derived from outcomes worker-count independent.
 	effective := trials
 	if st != nil && st.stopped {
 		effective = st.stopN
 	}
 	if reg != nil {
-		for _, shard := range shards {
-			reg.Merge(shard)
-		}
 		var busy int64
-		for _, b := range busyNs {
-			busy += b
+		for i := range pool {
+			reg.Merge(pool[i].shard)
+			busy += pool[i].busyNs
 		}
 		reg.Gauge("mc.worker_busy_ns").Set(float64(busy))
 		if elapsed > 0 {

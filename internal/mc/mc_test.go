@@ -22,13 +22,29 @@ func trialRate(trial int, seed uint64) Outcome {
 	return Outcome{Fail: rng.Float64() < 0.3}
 }
 
+// perTrial adapts a one-trial body to a BatchFn of any lane width.
+func perTrial(fn func(trial int, seed uint64) Outcome) BatchFn {
+	return func(start int, seeds []uint64, _ BatchCtx, out []Outcome) {
+		for i, seed := range seeds {
+			out[i] = fn(start+i, seed)
+		}
+	}
+}
+
+// runPlain is Run with every observer off.
+func runPlain(trials, workers, lane int, cell uint64, fn func(trial int, seed uint64) Outcome) Result {
+	return Run(trials, workers, lane, cell, nil, nil, Observers{}, perTrial(fn))
+}
+
 func TestRunWorkerCountInvariant(t *testing.T) {
 	cell := Seed(42, F64(1e-3), 3)
-	base := Run(500, 1, cell, trialRate)
+	base := runPlain(500, 1, 1, cell, trialRate)
 	for _, w := range []int{2, 4, 8, 0} {
-		got := Run(500, w, cell, trialRate)
-		if got != base {
-			t.Errorf("workers=%d result %+v != workers=1 result %+v", w, got, base)
+		for _, lane := range []int{1, 5, LaneWidth} {
+			got := runPlain(500, w, lane, cell, trialRate)
+			if got != base {
+				t.Errorf("workers=%d lane=%d result %+v != workers=1 result %+v", w, lane, got, base)
+			}
 		}
 	}
 	if base.Failures == 0 || base.Failures == 500 {
@@ -94,11 +110,11 @@ func TestWilson(t *testing.T) {
 }
 
 func TestRunEmptyAndError(t *testing.T) {
-	if res := Run(0, 4, 1, trialRate); res != (Result{}) {
+	if res := runPlain(0, 4, 1, 1, trialRate); res != (Result{}) {
 		t.Errorf("empty run = %+v", res)
 	}
 	errA, errB := errors.New("a"), errors.New("b")
-	res := Run(10, 4, 1, func(trial int, seed uint64) Outcome {
+	res := runPlain(10, 4, 3, 1, func(trial int, seed uint64) Outcome {
 		switch trial {
 		case 7:
 			return Outcome{Err: errB}
@@ -118,7 +134,7 @@ func TestRunEmptyAndError(t *testing.T) {
 func TestRunSharedCounterUnderRace(t *testing.T) {
 	var ctr bandwidth.Counter
 	workers := runtime.GOMAXPROCS(0) * 4
-	res := Run(400, workers, Seed(7), func(trial int, seed uint64) Outcome {
+	res := runPlain(400, workers, 1, Seed(7), func(trial int, seed uint64) Outcome {
 		ctr.Add(3, uint64(trial))
 		return Outcome{Fail: trial%5 == 0}
 	})
@@ -134,7 +150,7 @@ func TestRunSharedCounterUnderRace(t *testing.T) {
 }
 
 func TestWilsonAttachedToResult(t *testing.T) {
-	res := Run(200, 4, Seed(3), trialRate)
+	res := runPlain(200, 4, 1, Seed(3), trialRate)
 	lo, hi := Wilson(res.Failures, res.Trials, 1.96)
 	if res.WilsonLo != lo || res.WilsonHi != hi {
 		t.Errorf("result CI [%v, %v] != Wilson [%v, %v]", res.WilsonLo, res.WilsonHi, lo, hi)
@@ -152,13 +168,13 @@ func TestWilsonAttachedToResult(t *testing.T) {
 func TestRunWithShardMergeInvariant(t *testing.T) {
 	run := func(workers int) (Result, uint64, uint64, uint64) {
 		reg := metrics.New()
-		res := RunWith(300, workers, Seed(11), reg,
-			func(trial int, seed uint64, shard *metrics.Registry) Outcome {
-				if shard == nil {
+		res := Run(300, workers, 1, Seed(11), reg, nil, Observers{},
+			func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
+				if ctx.Shard == nil {
 					t.Fatal("nil shard despite non-nil registry")
 				}
-				shard.Counter("test.work").Add(uint64(trial))
-				return Outcome{Fail: trial%3 == 0}
+				ctx.Shard.Counter("test.work").Add(uint64(start))
+				out[0] = Outcome{Fail: start%3 == 0}
 			})
 		return res,
 			reg.Counter("mc.trials").Value(),
@@ -191,9 +207,7 @@ func TestRunWithShardMergeInvariant(t *testing.T) {
 // into one histogram counting every trial.
 func TestRunWithHistogramMerge(t *testing.T) {
 	reg := metrics.New()
-	RunWith(64, 4, Seed(13), reg, func(trial int, seed uint64, shard *metrics.Registry) Outcome {
-		return Outcome{}
-	})
+	Run(64, 4, 1, Seed(13), reg, nil, Observers{}, perTrial(func(int, uint64) Outcome { return Outcome{} }))
 	h := reg.Histogram("mc.trial.ns", metrics.LatencyBounds())
 	if got := h.Count(); got != 64 {
 		t.Errorf("merged mc.trial.ns count = %d, want 64", got)
@@ -210,12 +224,12 @@ func TestRunWithHistogramMerge(t *testing.T) {
 // TestRunWithNilRegistry pins that a nil target registry disables sharding:
 // fn sees a nil shard and the Result still matches the instrumented run.
 func TestRunWithNilRegistry(t *testing.T) {
-	res := RunWith(50, 4, Seed(11), nil,
-		func(trial int, seed uint64, shard *metrics.Registry) Outcome {
-			if shard != nil {
+	res := Run(50, 4, 1, Seed(11), nil, nil, Observers{},
+		func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
+			if ctx.Shard != nil {
 				t.Error("expected nil shard with nil registry")
 			}
-			return Outcome{Fail: trial%3 == 0}
+			out[0] = Outcome{Fail: start%3 == 0}
 		})
 	if res.Failures != 17 {
 		t.Errorf("failures = %d, want 17", res.Failures)
@@ -230,17 +244,18 @@ func TestRunWithNilRegistry(t *testing.T) {
 func TestRunTracedDeterminism(t *testing.T) {
 	runOnce := func(workers int) []byte {
 		tr := tracing.New(1 << 12)
-		res := RunTraced(40, workers, Seed(7), nil, tr,
-			func(trial int, seed uint64, shard *metrics.Registry, trace *tracing.Tracer) Outcome {
+		res := Run(40, workers, 1, Seed(7), nil, tr, Observers{},
+			func(trial int, seeds []uint64, ctx BatchCtx, out []Outcome) {
+				trace := ctx.Trace
 				if trace == nil {
 					t.Error("expected per-worker trace shard")
-					return Outcome{}
+					return
 				}
 				// Synthetic per-trial events: cycle timebase derived from the
 				// trial index only, never from scheduling.
-				trace.SpanArg("mce", trial%4, "busy", int64(trial), 1, "uops", int64(seed%97))
+				trace.SpanArg("mce", trial%4, "busy", int64(trial), 1, "uops", int64(seeds[0]%97))
 				trace.Instant("master", 0, "dispatch", int64(trial))
-				return Outcome{Fail: trial%5 == 0}
+				out[0] = Outcome{Fail: trial%5 == 0}
 			})
 		if res.Failures != 8 {
 			t.Fatalf("workers=%d: failures = %d, want 8", workers, res.Failures)
@@ -268,16 +283,16 @@ func TestRunTracedDeterminism(t *testing.T) {
 // without disturbing metrics sharding or the Result.
 func TestRunTracedNilTracer(t *testing.T) {
 	reg := metrics.New()
-	res := RunTraced(30, 4, Seed(9), reg, nil,
-		func(trial int, seed uint64, shard *metrics.Registry, trace *tracing.Tracer) Outcome {
-			if trace != nil {
+	res := Run(30, 4, 1, Seed(9), reg, nil, Observers{},
+		func(trial int, seeds []uint64, ctx BatchCtx, out []Outcome) {
+			if ctx.Trace != nil {
 				t.Error("expected nil trace shard with nil tracer")
 			}
-			if shard == nil {
+			if ctx.Shard == nil {
 				t.Error("expected metrics shard")
 			}
-			trace.Span("mce", 0, "busy", int64(trial), 1) // must be a safe no-op
-			return Outcome{Fail: trial%2 == 0}
+			ctx.Trace.Span("mce", 0, "busy", int64(trial), 1) // must be a safe no-op
+			out[0] = Outcome{Fail: trial%2 == 0}
 		})
 	if res.Failures != 15 {
 		t.Errorf("failures = %d, want 15", res.Failures)

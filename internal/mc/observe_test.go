@@ -10,12 +10,14 @@ import (
 	"quest/internal/metrics"
 )
 
-// observedRate mirrors trialRate for the RunObserved callback shape.
-func observedRate(rate float64) func(trial int, seed uint64, ctx TrialCtx) Outcome {
-	return func(trial int, seed uint64, ctx TrialCtx) Outcome {
+// rateFn fails each trial with probability rate, drawn from the trial's own
+// seed: a pure function of the seed, so every lane width and worker count
+// must agree on it exactly.
+func rateFn(rate float64) BatchFn {
+	return perTrial(func(trial int, seed uint64) Outcome {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		return Outcome{Fail: rng.Float64() < rate}
-	}
+	})
 }
 
 // TestWilsonEdgeCases pins the boundary behavior the CI-convergence stop
@@ -66,42 +68,45 @@ func TestWilsonEdgeCases(t *testing.T) {
 	}
 }
 
-// TestRunWithAllocs pins the metrics-off hot path at its committed
-// allocation count. The Observers plumbing added for progress/CI-stop/
-// heatmaps/ledgers must cost the unobserved path nothing: all observer
-// locals are single-assigned nil pointers the worker closure captures by
-// value, never heap cells. 7 allocs at workers=1 (outcomes, shard slice,
-// busyNs, next, wg, one closure, one runtime cell) — one *below* the
-// engine's historical 8, since trial-order reduction over the outcome
-// store replaced the streaming failure atomic.
-func TestRunWithAllocs(t *testing.T) {
-	fn := func(trial int, seed uint64, shard *metrics.Registry) Outcome {
+// TestRunAllocs pins the path production calls at lane 1 (the machine
+// memory experiment) with metrics off at its committed allocation count.
+// Observers must cost the unobserved path nothing: every observer local is
+// a single-assigned nil pointer the worker closure captures by value, never
+// a heap cell. The budget of 8 is mirrored by the internal/mc.Run root's
+// bench_allocs in questvet-budgets.json. A single-worker run makes 6
+// allocations (outcomes, the worker-state slice, nextLane, wg, the worker
+// closure and one runtime cell); the budget leaves room for two more.
+func TestRunAllocs(t *testing.T) {
+	fn := perTrial(func(trial int, seed uint64) Outcome {
 		return Outcome{Fail: seed&1 == 0}
-	}
+	})
 	allocs := testing.AllocsPerRun(100, func() {
-		RunWith(100, 1, Seed(5), nil, fn)
+		Run(100, 1, 1, Seed(5), nil, nil, Observers{}, fn)
 	})
 	if allocs > 8 {
-		t.Errorf("RunWith metrics-off allocs/call = %v, budget 8 (currently 7)", allocs)
+		t.Errorf("Run metrics-off allocs/call = %v, budget 8", allocs)
 	}
-	if allocs != 7 {
-		t.Logf("note: RunWith metrics-off allocs/call = %v (was 7 when pinned)", allocs)
+	if allocs != 6 {
+		t.Logf("note: Run metrics-off allocs/call = %v, expected 6", allocs)
 	}
 }
 
-// TestRunObservedZeroValueMatchesRun pins that RunObserved with a zero
-// Observers is the same engine: identical Result to Run on the same cell.
+// TestRunObservedZeroValueMatchesRun pins that a zero Observers with nil
+// registry and tracer hands fn no live hook at any lane width, and that
+// the Result does not depend on the lane width.
 func TestRunObservedZeroValueMatchesRun(t *testing.T) {
 	cell := Seed(42, F64(1e-3), 3)
-	base := Run(300, 4, cell, trialRate)
-	got := RunObserved(300, 4, cell, nil, nil, Observers{}, func(trial int, seed uint64, ctx TrialCtx) Outcome {
-		if ctx.Shard != nil || ctx.Trace != nil || ctx.Heat != nil {
-			t.Error("zero Observers handed out live observation hooks")
+	base := runPlain(300, 4, 1, cell, trialRate)
+	for _, lane := range []int{1, 7, LaneWidth} {
+		got := Run(300, 4, lane, cell, nil, nil, Observers{}, func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
+			if ctx.Shard != nil || ctx.Trace != nil || ctx.Heat != nil || ctx.BW != nil {
+				t.Error("zero Observers handed out live observation hooks")
+			}
+			perTrial(trialRate)(start, seeds, ctx, out)
+		})
+		if got != base {
+			t.Errorf("lane=%d: Result %+v != lane-1 %+v", lane, got, base)
 		}
-		return trialRate(trial, seed)
-	})
-	if got != base {
-		t.Errorf("RunObserved %+v != Run %+v", got, base)
 	}
 }
 
@@ -112,8 +117,8 @@ func TestRunObservedZeroValueMatchesRun(t *testing.T) {
 func TestCIStopDeterministicAcrossWorkers(t *testing.T) {
 	cell := Seed(17, F64(2e-3), 5)
 	runOnce := func(workers int) Result {
-		return RunObserved(5000, workers, cell, nil, nil,
-			Observers{CIWidth: 0.05}, observedRate(0.3))
+		return Run(5000, workers, 1, cell, nil, nil,
+			Observers{CIWidth: 0.05}, rateFn(0.3))
 	}
 	base := runOnce(1)
 	for _, w := range []int{2, 4, 8} {
@@ -136,8 +141,8 @@ func TestCIStopDeterministicAcrossWorkers(t *testing.T) {
 func TestCIStopSavesTrials(t *testing.T) {
 	cell := Seed(23, F64(1e-4), 3)
 	budget := 20000
-	fixed := RunObserved(budget, 4, cell, nil, nil, Observers{}, observedRate(0.02))
-	stopped := RunObserved(budget, 4, cell, nil, nil, Observers{CIWidth: 0.04}, observedRate(0.02))
+	fixed := Run(budget, 4, 1, cell, nil, nil, Observers{}, rateFn(0.02))
+	stopped := Run(budget, 4, 1, cell, nil, nil, Observers{CIWidth: 0.04}, rateFn(0.02))
 	if stopped.Trials >= budget/2 {
 		t.Errorf("easy cell used %d of %d trials, expected a large saving", stopped.Trials, budget)
 	}
@@ -165,8 +170,8 @@ func TestCIStopSavesTrials(t *testing.T) {
 // TestCIStopMinTrialsFloor pins that the stop rule never fires before
 // MinTrials even when the interval is trivially narrow.
 func TestCIStopMinTrialsFloor(t *testing.T) {
-	res := RunObserved(1000, 8, Seed(3), nil, nil,
-		Observers{CIWidth: 0.9, MinTrials: 64}, observedRate(0))
+	res := Run(1000, 8, 1, Seed(3), nil, nil,
+		Observers{CIWidth: 0.9, MinTrials: 64}, rateFn(0))
 	if res.Trials < 64 {
 		t.Errorf("stopped at %d trials, before MinTrials=64", res.Trials)
 	}
@@ -178,11 +183,11 @@ func TestCIStopMinTrialsFloor(t *testing.T) {
 func TestObservedSinkTrialOrder(t *testing.T) {
 	cell := Seed(29)
 	var got []string
-	res := RunObserved(100, 8, cell, nil, nil, Observers{
+	res := Run(100, 8, 1, cell, nil, nil, Observers{
 		Sink: func(trial int, seed uint64, out Outcome) {
 			got = append(got, fmt.Sprintf("%d:%x:%v", trial, seed, out.Fail))
 		},
-	}, observedRate(0.25))
+	}, rateFn(0.25))
 	if len(got) != res.Trials {
 		t.Fatalf("sink saw %d trials, Result has %d", len(got), res.Trials)
 	}
@@ -203,17 +208,14 @@ func TestObservedHeatDeterministicAcrossWorkers(t *testing.T) {
 	cell := Seed(31, F64(5e-3), 3)
 	runOnce := func(workers int, ciWidth float64) ([][]int64, []int64, Result) {
 		heat := heatmap.New(5, 5)
-		res := RunObserved(3000, workers, cell, nil, nil,
+		res := Run(3000, workers, 1, cell, nil, nil,
 			Observers{Heat: heat, CIWidth: ciWidth},
-			func(trial int, seed uint64, ctx TrialCtx) Outcome {
-				if ctx.Heat == nil {
+			func(trial int, seeds []uint64, ctx BatchCtx, out []Outcome) {
+				if len(ctx.Heat) != 1 {
 					t.Error("expected per-trial heat shard")
-					return Outcome{}
+					return
 				}
-				rng := rand.New(rand.NewSource(int64(seed)))
-				ctx.Heat.Defect(rng.Intn(5), rng.Intn(5))
-				ctx.Heat.MatchedPair(rng.Intn(5), rng.Intn(5), rng.Intn(5), rng.Intn(5), rng.Intn(8))
-				return Outcome{Fail: rng.Float64() < 0.3}
+				out[0] = heatTrial(seeds[0], ctx.Heat[0])
 			})
 		return heat.Defects(), heat.ChainLengths(), res
 	}
@@ -245,10 +247,10 @@ func TestObservedHeatDeterministicAcrossWorkers(t *testing.T) {
 // when the sink is nil.
 func TestObservedProgress(t *testing.T) {
 	var snaps []Progress
-	res := RunObserved(200, 4, Seed(37), nil, nil, Observers{
+	res := Run(200, 4, 1, Seed(37), nil, nil, Observers{
 		Progress:      func(p Progress) { snaps = append(snaps, p) },
 		ProgressEvery: 50,
-	}, observedRate(0.2))
+	}, rateFn(0.2))
 	if len(snaps) < 2 {
 		t.Fatalf("got %d progress snapshots, want throttled stream + final", len(snaps))
 	}
@@ -280,19 +282,19 @@ func TestObservedProgress(t *testing.T) {
 }
 
 // TestObservedMetricsShardsStillMerge pins that the observed path keeps the
-// RunWith metrics contract (every executed trial counted exactly once) when
+// metrics contract (every executed trial counted exactly once) when
 // no early stop is in play.
 func TestObservedMetricsShardsStillMerge(t *testing.T) {
 	reg := metrics.New()
 	var calls atomic.Int64
-	res := RunObserved(120, 4, Seed(41), reg, nil, Observers{},
-		func(trial int, seed uint64, ctx TrialCtx) Outcome {
+	res := Run(120, 4, 1, Seed(41), reg, nil, Observers{},
+		func(trial int, seeds []uint64, ctx BatchCtx, out []Outcome) {
 			if ctx.Shard == nil {
 				t.Error("expected metrics shard")
 			}
 			calls.Add(1)
 			ctx.Shard.Counter("test.obs").Inc()
-			return Outcome{Fail: trial%4 == 0}
+			out[0] = Outcome{Fail: trial%4 == 0}
 		})
 	if res.Failures != 30 {
 		t.Errorf("failures = %d, want 30", res.Failures)

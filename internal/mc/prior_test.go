@@ -7,11 +7,11 @@ import (
 )
 
 // priorFn is a deterministic trial body that also counts executions.
-func priorFn(calls *atomic.Int64) func(trial int, seed uint64, ctx TrialCtx) Outcome {
-	return func(trial int, seed uint64, ctx TrialCtx) Outcome {
+func priorFn(calls *atomic.Int64) BatchFn {
+	return perTrial(func(trial int, seed uint64) Outcome {
 		calls.Add(1)
 		return Outcome{Fail: seed%3 == 0}
-	}
+	})
 }
 
 // recordOutcomes runs a full cell and returns its trial-ordered outcomes via
@@ -19,7 +19,7 @@ func priorFn(calls *atomic.Int64) func(trial int, seed uint64, ctx TrialCtx) Out
 func recordOutcomes(trials int) ([]Outcome, Result) {
 	outs := make([]Outcome, 0, trials)
 	var calls atomic.Int64
-	res := RunObserved(trials, 4, 0xc0ffee, nil, nil, Observers{
+	res := Run(trials, 4, 1, 0xc0ffee, nil, nil, Observers{
 		Sink: func(trial int, seed uint64, out Outcome) { outs = append(outs, out) },
 	}, priorFn(&calls))
 	return outs, res
@@ -31,21 +31,23 @@ func recordOutcomes(trials int) ([]Outcome, Result) {
 func TestPriorSkipsExecution(t *testing.T) {
 	const trials = 20
 	outs, want := recordOutcomes(trials)
-	for _, prior := range []int{0, 1, 7, trials} {
-		var calls atomic.Int64
-		var sunk []Outcome
-		got := RunObserved(trials, 4, 0xc0ffee, nil, nil, Observers{
-			Prior: outs[:prior],
-			Sink:  func(trial int, seed uint64, out Outcome) { sunk = append(sunk, out) },
-		}, priorFn(&calls))
-		if got != want {
-			t.Errorf("prior=%d: Result %+v != full run %+v", prior, got, want)
-		}
-		if int(calls.Load()) != trials-prior {
-			t.Errorf("prior=%d: executed %d trials, want %d", prior, calls.Load(), trials-prior)
-		}
-		if !reflect.DeepEqual(sunk, outs) {
-			t.Errorf("prior=%d: Sink stream differs from the full run's", prior)
+	for _, lane := range []int{1, 7, LaneWidth} {
+		for _, prior := range []int{0, 1, 7, trials} {
+			var calls atomic.Int64
+			var sunk []Outcome
+			got := Run(trials, 4, lane, 0xc0ffee, nil, nil, Observers{
+				Prior: outs[:prior],
+				Sink:  func(trial int, seed uint64, out Outcome) { sunk = append(sunk, out) },
+			}, priorFn(&calls))
+			if got != want {
+				t.Errorf("lane=%d prior=%d: Result %+v != full run %+v", lane, prior, got, want)
+			}
+			if int(calls.Load()) != trials-prior {
+				t.Errorf("lane=%d prior=%d: executed %d trials, want %d", lane, prior, calls.Load(), trials-prior)
+			}
+			if !reflect.DeepEqual(sunk, outs) {
+				t.Errorf("lane=%d prior=%d: Sink stream differs from the full run's", lane, prior)
+			}
 		}
 	}
 }
@@ -57,7 +59,7 @@ func TestPriorLongerThanBudgetIsTruncated(t *testing.T) {
 	outs, _ := recordOutcomes(20)
 	var calls atomic.Int64
 	_, want := recordOutcomes(12)
-	got := RunObserved(12, 4, 0xc0ffee, nil, nil, Observers{Prior: outs}, priorFn(&calls))
+	got := Run(12, 4, 1, 0xc0ffee, nil, nil, Observers{Prior: outs}, priorFn(&calls))
 	if calls.Load() != 0 {
 		t.Errorf("executed %d trials with a full prior, want 0", calls.Load())
 	}
@@ -73,21 +75,58 @@ func TestPriorFeedsCIStop(t *testing.T) {
 	const budget = 300
 	obs := Observers{CIWidth: 0.2}
 	var calls atomic.Int64
-	want := RunObserved(budget, 4, 0xc0ffee, nil, nil, obs, priorFn(&calls))
+	want := Run(budget, 4, 1, 0xc0ffee, nil, nil, obs, priorFn(&calls))
 	if want.Trials >= budget {
 		t.Fatalf("ci-stop never fired (%d trials); widen the test margin", want.Trials)
 	}
 	outs, _ := recordOutcomes(budget)
-	for _, prior := range []int{want.Trials / 2, want.Trials, budget} {
-		o := obs
-		o.Prior = outs[:prior]
-		var resumedCalls atomic.Int64
-		got := RunObserved(budget, 4, 0xc0ffee, nil, nil, o, priorFn(&resumedCalls))
-		if got != want {
-			t.Errorf("prior=%d: Result %+v != uninterrupted %+v", prior, got, want)
+	for _, lane := range []int{1, LaneWidth} {
+		for _, prior := range []int{want.Trials / 2, want.Trials, budget} {
+			o := obs
+			o.Prior = outs[:prior]
+			var resumedCalls atomic.Int64
+			got := Run(budget, 4, lane, 0xc0ffee, nil, nil, o, priorFn(&resumedCalls))
+			if got != want {
+				t.Errorf("lane=%d prior=%d: Result %+v != uninterrupted %+v", lane, prior, got, want)
+			}
+			if prior >= want.Trials && resumedCalls.Load() != 0 {
+				t.Errorf("lane=%d prior=%d covers the stop point but %d trials executed", lane, prior, resumedCalls.Load())
+			}
 		}
-		if prior >= want.Trials && resumedCalls.Load() != 0 {
-			t.Errorf("prior=%d covers the stop point but %d trials executed", prior, resumedCalls.Load())
+	}
+}
+
+// TestPriorSeedsProgress is the regression test for resumed progress
+// restarting at zero: the live counters start from the replayed prefix, so
+// every snapshot of a resumed run — the first included — reports at least
+// the prior's trials and failures against the full budget.
+func TestPriorSeedsProgress(t *testing.T) {
+	const budget, prior = 200, 70
+	outs, _ := recordOutcomes(budget)
+	priorFails := 0
+	for _, o := range outs[:prior] {
+		if o.Fail {
+			priorFails++
+		}
+	}
+	for _, lane := range []int{1, LaneWidth} {
+		var snaps []Progress
+		var calls atomic.Int64
+		Run(budget, 1, lane, 0xc0ffee, nil, nil, Observers{
+			Prior:         outs[:prior],
+			ProgressEvery: 10,
+			Progress:      func(p Progress) { snaps = append(snaps, p) },
+		}, priorFn(&calls))
+		if len(snaps) < 2 {
+			t.Fatalf("lane=%d: %d snapshots, want a live stream plus the final", lane, len(snaps))
+		}
+		first := snaps[0]
+		if first.Completed < prior || first.Failures < priorFails {
+			t.Errorf("lane=%d: first snapshot %+v ignores the %d-trial prior (%d failures)",
+				lane, first, prior, priorFails)
+		}
+		if first.Budget != budget {
+			t.Errorf("lane=%d: first snapshot budget %d, want %d", lane, first.Budget, budget)
 		}
 	}
 }

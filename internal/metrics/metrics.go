@@ -14,7 +14,7 @@
 //     are handed (defaulting to the package-level Default), so a worker pool
 //     can give each goroutine a private shard registry and Merge the shards
 //     after the pool drains — per-worker aggregation with zero cross-worker
-//     cache-line traffic (see mc.RunWith).
+//     cache-line traffic (see mc.Run).
 //   - Histograms use fixed bucket boundaries, so merging shards is a plain
 //     per-bucket add, and quantile summaries (p50/p95/p99) are deterministic
 //     functions of the bucket counts.

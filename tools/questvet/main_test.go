@@ -30,11 +30,7 @@ func skeleton() map[string]string {
 		"go.mod": "module tmpmod\n\ngo 1.22\n",
 		"internal/mc/mc.go": `package mc
 
-func Run() int         { return 0 }
-func RunWith() int     { return 0 }
-func RunTraced() int   { return 0 }
-func RunObserved() int { return 0 }
-func RunBatch() int    { return 0 }
+func Run() int { return 0 }
 `,
 		"internal/decoder/decoder.go": `package decoder
 
