@@ -187,16 +187,18 @@ examples:
 	$(GO) run ./examples/host_pipeline
 	$(GO) run ./examples/algorithms
 
-# Brief fuzzing sessions over the wire formats.
+# Brief fuzzing sessions over the wire formats, plus the stabilizer tableau
+# against its row-major oracle.
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/qasm/
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/qexe/
+	$(GO) test -fuzz FuzzTableauMatchesOracle -fuzztime 30s ./internal/clifford/
 
 # Remove only *untracked* files under the fuzz corpora directories (fuzzing
 # drops new inputs there) plus build artifacts. An earlier version ran
 # `rm -rf` on the whole testdata trees, which deleted the committed seed
 # corpora; TestCleanTargetPreservesTrackedTestdata pins the fix.
 clean:
-	git clean -fdx internal/qasm/testdata internal/qexe/testdata
+	git clean -fdx internal/qasm/testdata internal/qexe/testdata internal/clifford/testdata
 	rm -f ledger-shard-*.jsonl events-shard-*.jsonl bw-smoke-*.jsonl
 	$(GO) clean ./...

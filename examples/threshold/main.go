@@ -40,7 +40,7 @@ func main() {
 		}
 		fmt.Println()
 	}
-	fmt.Println("\nEach trial: project the lattice, run 4 noisy QECC rounds, batch the")
+	fmt.Println("\nEach trial: project the lattice, run d noisy QECC rounds, batch the")
 	fmt.Println("defects in a d-round space-time window, match them with the global")
 	fmt.Println("decoder, flush, and check the frame-corrected logical Z against the")
 	fmt.Println("injected ground truth. Below threshold the d=5 column is suppressed")

@@ -77,23 +77,28 @@ func (u *ExecutionUnit) Tableau() *clifford.Tableau { return u.tableau }
 // Latch loads one µop's select bits onto its qubit's switch. Latching twice
 // without an intervening Fire indicates a microcode pipeline bug and panics.
 func (u *ExecutionUnit) Latch(m isa.MicroOp) {
-	if m.Qubit < 0 || m.Qubit >= u.n {
-		panic(fmt.Sprintf("awg: latch for qubit %d outside %d-switch matrix", m.Qubit, u.n))
-	}
-	if u.latched[m.Qubit] {
-		panic(fmt.Sprintf("awg: double latch on qubit %d before fire", m.Qubit))
-	}
-	u.selects[m.Qubit] = m.Op
-	u.pairs[m.Qubit] = m.Pair
-	u.latched[m.Qubit] = true
-	u.latchCount++
+	u.latch(m.Qubit, m.Op, m.Pair)
 }
 
-// LatchWord latches a whole VLIW word (convenience for lock-step callers).
+// LatchWord latches a whole VLIW word (convenience for lock-step callers),
+// slot q of the word onto switch q.
 func (u *ExecutionUnit) LatchWord(w isa.VLIW) {
-	for _, m := range w.MicroOps() {
-		u.Latch(m)
+	for q, op := range w.Ops {
+		u.latch(q, op, w.Pairs[q])
 	}
+}
+
+func (u *ExecutionUnit) latch(q int, op isa.Opcode, pair int) {
+	if q < 0 || q >= u.n {
+		panic(fmt.Sprintf("awg: latch for qubit %d outside %d-switch matrix", q, u.n))
+	}
+	if u.latched[q] {
+		panic(fmt.Sprintf("awg: double latch on qubit %d before fire", q))
+	}
+	u.selects[q] = op
+	u.pairs[q] = pair
+	u.latched[q] = true
+	u.latchCount++
 }
 
 // Ready reports whether every switch has been latched since the last Fire —

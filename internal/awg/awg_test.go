@@ -231,3 +231,23 @@ func TestTGateIsCountedNotSimulated(t *testing.T) {
 		t.Error("T placeholder disturbed Z eigenstate")
 	}
 }
+
+// TestExecuteWordDoesNotAllocate pins a full sub-cycle (latch straight from
+// the word's slots, then fire gates, a CNOT pair and measurements into the
+// sink) to zero allocations.
+func TestExecuteWordDoesNotAllocate(t *testing.T) {
+	u := newUnit(6, 1, nil)
+	bits := 0
+	u.MeasSink = func(_, bit int) { bits += bit }
+	w := isa.NewVLIW(6)
+	w.Set(0, isa.OpH)
+	w.SetPair(1, isa.OpCNOTControl, 2)
+	w.SetPair(2, isa.OpCNOTTarget, 1)
+	w.Set(3, isa.OpPrep0)
+	w.Set(4, isa.OpMeasZ)
+	w.Set(5, isa.OpMeasX)
+	u.ExecuteWord(w)
+	if a := testing.AllocsPerRun(100, func() { u.ExecuteWord(w) }); a != 0 {
+		t.Errorf("ExecuteWord: %v allocs/op, want 0", a)
+	}
+}

@@ -454,3 +454,36 @@ func BenchmarkSyndromeCycle100Qubits(b *testing.B) {
 		}
 	}
 }
+
+// TestGatesAndMeasurementsDoNotAllocate pins every gate and measurement on a
+// warmed tableau to zero allocations. The measurement cases run both the
+// random branch (after an H) and the deterministic one, across two column
+// words.
+func TestGatesAndMeasurementsDoNotAllocate(t *testing.T) {
+	tb := newT(100, 1)
+	for q := 0; q < 99; q++ {
+		tb.H(q)
+		tb.CNOT(q, q+1)
+	}
+	cases := []struct {
+		name string
+		f    func()
+	}{
+		{"H", func() { tb.H(70) }},
+		{"S", func() { tb.S(70) }},
+		{"X", func() { tb.X(70) }},
+		{"Y", func() { tb.Y(70) }},
+		{"Z", func() { tb.Z(70) }},
+		{"CNOT", func() { tb.CNOT(3, 70) }},
+		{"CZ", func() { tb.CZ(3, 70) }},
+		{"MeasureZ", func() { tb.H(70); tb.MeasureZ(70); tb.CNOT(70, 5); tb.MeasureZ(5) }},
+		{"MeasureX", func() { tb.MeasureX(70); tb.MeasureX(70) }},
+		{"ExpectationZ", func() { tb.ExpectationZ(70); tb.ExpectationZ(5) }},
+		{"Prep0", func() { tb.H(70); tb.Prep0(70); tb.Prep0(70) }},
+	}
+	for _, c := range cases {
+		if a := testing.AllocsPerRun(100, c.f); a != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, a)
+		}
+	}
+}

@@ -158,7 +158,10 @@ type MCE struct {
 	cache     map[int][]isa.LogicalInstr
 	replayQ   []isa.LogicalInstr
 	braids    []*braid
-	busyPatch map[int]bool
+	busyPatch []bool // patches occupied by an in-flight braid
+	// claimed marks the patches issueLogical has claimed this cycle (issued
+	// to, or blocked in program order); scratch reused every cycle.
+	claimed []bool
 
 	magicStates int
 
@@ -213,7 +216,8 @@ func New(cfg Config) *MCE {
 		frame: decoder.NewPauliFrame(),
 
 		cache:     make(map[int][]isa.LogicalInstr),
-		busyPatch: make(map[int]bool),
+		busyPatch: make([]bool, cfg.Layout.NumPatches()),
+		claimed:   make([]bool, cfg.Layout.NumPatches()),
 
 		in:  newInstr(reg),
 		tr:  tr,
@@ -357,6 +361,13 @@ func (m *MCE) Enqueue(in isa.LogicalInstr) error {
 		if !ok {
 			return fmt.Errorf("mce: cache run on empty slot %d", in.Target)
 		}
+		// A slot may hold a body staged for a larger tile; only running it
+		// here needs its patches to exist.
+		for i, bi := range body {
+			if err := m.checkPatches(bi); err != nil {
+				return fmt.Errorf("mce: cache slot %d entry %d: %w", in.Target, i, err)
+			}
+		}
 		reps := int(in.Arg)
 		if reps == 0 {
 			reps = 1
@@ -381,13 +392,8 @@ func (m *MCE) Enqueue(in isa.LogicalInstr) error {
 	case isa.LSyncToken:
 		return nil // sequencing only; no quantum effect
 	}
-	if in.Op.IsTransverse() || in.Op == isa.LCNOT {
-		if int(in.Target) >= m.cfg.Layout.NumPatches() {
-			return fmt.Errorf("mce: instruction %s targets patch outside tile", in)
-		}
-		if in.Op == isa.LCNOT && int(in.Arg) >= m.cfg.Layout.NumPatches() {
-			return fmt.Errorf("mce: CNOT partner outside tile")
-		}
+	if err := m.checkPatches(in); err != nil {
+		return err
 	}
 	if m.cfg.BufferCapacity > 0 && len(m.buffer) >= m.cfg.BufferCapacity {
 		return fmt.Errorf("mce: instruction buffer full (%d)", m.cfg.BufferCapacity)
@@ -395,6 +401,19 @@ func (m *MCE) Enqueue(in isa.LogicalInstr) error {
 	m.buffer = append(m.buffer, in)
 	m.in.logicalEnqueued.Inc()
 	m.in.bufferOccupancy.Set(float64(len(m.buffer)))
+	return nil
+}
+
+// checkPatches rejects an instruction addressing a patch outside the tile.
+// Every instruction that reaches the buffer or the replay queue names its
+// patch in Target (and an LCNOT its partner in Arg).
+func (m *MCE) checkPatches(in isa.LogicalInstr) error {
+	if int(in.Target) >= m.cfg.Layout.NumPatches() {
+		return fmt.Errorf("mce: instruction %s targets patch outside tile", in)
+	}
+	if in.Op == isa.LCNOT && int(in.Arg) >= m.cfg.Layout.NumPatches() {
+		return fmt.Errorf("mce: CNOT partner outside tile")
+	}
 	return nil
 }
 
@@ -541,7 +560,7 @@ func (m *MCE) StepCycle() CycleReport {
 }
 
 func (m *MCE) stepBraids(rep *CycleReport) {
-	var active []*braid
+	active := m.braids[:0]
 	for _, b := range m.braids {
 		s := b.steps[0]
 		if !m.cfg.Layout.Lat.InBounds(s.R, s.C) {
@@ -571,44 +590,70 @@ func (m *MCE) stepBraids(rep *CycleReport) {
 // have priority so factory pipelines never starve) and returns the physical
 // overlay for this cycle's first sub-cycle.
 func (m *MCE) issueLogical(rep *CycleReport) []isa.MicroOp {
-	var overlay []isa.MicroOp
-	issued := 0
-	usedPatch := map[int]bool{}
-	take := func(queue *[]isa.LogicalInstr) {
-		var rest []isa.LogicalInstr
-		for _, in := range *queue {
-			if issued >= issueWidth {
-				rest = append(rest, in)
-				continue
-			}
-			// One instruction per patch per cycle; later instructions for a
-			// used patch also wait, preserving program order per patch.
-			p1, p2 := int(in.Target), -1
-			if in.Op == isa.LCNOT {
-				p2 = int(in.Arg)
-			}
-			if usedPatch[p1] || (p2 >= 0 && usedPatch[p2]) {
-				rest = append(rest, in)
-				continue
-			}
-			ok, ops := m.tryIssue(in, rep)
-			if !ok {
-				rest = append(rest, in)
-				usedPatch[p1] = true // preserve order: nothing later may jump it
-				continue
-			}
-			usedPatch[p1] = true
-			if p2 >= 0 {
-				usedPatch[p2] = true
-			}
-			overlay = append(overlay, ops...)
-			issued++
+	clear(m.claimed)
+	st := issueState{}
+	for _, busy := range m.busyPatch {
+		if busy {
+			st.blocked++
 		}
-		*queue = rest
 	}
-	take(&m.replayQ)
-	take(&m.buffer)
-	return overlay
+	m.replayQ = m.issueFrom(m.replayQ, &st, rep)
+	m.buffer = m.issueFrom(m.buffer, &st, rep)
+	return st.overlay
+}
+
+// issueState is one cycle's issue progress across both queues.
+type issueState struct {
+	issued  int
+	blocked int // patches claimed this cycle or occupied by a braid
+	overlay []isa.MicroOp
+}
+
+// issueFrom scans queue in program order, issuing what it can, and returns
+// the queue without the issued instructions. Each patch takes at most one
+// instruction per cycle, and an instruction that cannot issue claims its
+// patch so nothing later on that patch jumps it. The scan stops once
+// issueWidth instructions have issued or every patch is claimed or under a
+// braid: nothing later can issue, and tryIssue on a braided patch fails
+// without side effects. The kept part of the scanned prefix is compacted in
+// place against the unscanned tail, and the queue's head advances past the
+// issued instructions.
+func (m *MCE) issueFrom(queue []isa.LogicalInstr, st *issueState, rep *CycleReport) []isa.LogicalInstr {
+	kept, i := 0, 0
+	for ; i < len(queue) && st.issued < issueWidth && st.blocked < len(m.claimed); i++ {
+		in := queue[i]
+		p1, p2 := int(in.Target), -1
+		if in.Op == isa.LCNOT {
+			p2 = int(in.Arg)
+		}
+		if m.claimed[p1] || (p2 >= 0 && m.claimed[p2]) {
+			queue[kept] = in
+			kept++
+			continue
+		}
+		ok, ops := m.tryIssue(in, rep)
+		if !ok {
+			if !m.busyPatch[p1] {
+				st.blocked++ // a busy p1 already counts
+			}
+			m.claimed[p1] = true
+			queue[kept] = in
+			kept++
+			continue
+		}
+		// Issued: neither patch was busy (tryIssue checks), nor claimed.
+		m.claimed[p1] = true
+		st.blocked++
+		if p2 >= 0 && p2 != p1 {
+			m.claimed[p2] = true
+			st.blocked++
+		}
+		st.overlay = append(st.overlay, ops...)
+		st.issued++
+	}
+	removed := i - kept
+	copy(queue[removed:i], queue[:kept])
+	return queue[removed:]
 }
 
 // tryIssue attempts to start one logical instruction this cycle.
