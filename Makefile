@@ -187,18 +187,24 @@ examples:
 	$(GO) run ./examples/host_pipeline
 	$(GO) run ./examples/algorithms
 
-# Brief fuzzing sessions over the wire formats, plus the stabilizer tableau
-# against its row-major oracle.
+# Brief fuzzing runs over the wire formats and the JSONL artifact
+# readers (ledger, events, quest-bw/1), plus the stabilizer tableau against
+# its row-major oracle. The artifact readers' seeds are whole writer outputs,
+# so minimizing each new input would eat the run: it is switched off.
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/qasm/
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/qexe/
 	$(GO) test -fuzz FuzzTableauMatchesOracle -fuzztime 30s ./internal/clifford/
+	$(GO) test -run '^$$' -fuzz FuzzLedgerRead -fuzztime 30s -fuzzminimizetime 1x ./internal/ledger/
+	$(GO) test -run '^$$' -fuzz FuzzEventsParse -fuzztime 30s -fuzzminimizetime 1x ./internal/events/
+	$(GO) test -run '^$$' -fuzz FuzzBWParse -fuzztime 30s -fuzzminimizetime 1x ./internal/bwprofile/
 
 # Remove only *untracked* files under the fuzz corpora directories (fuzzing
 # drops new inputs there) plus build artifacts. An earlier version ran
 # `rm -rf` on the whole testdata trees, which deleted the committed seed
 # corpora; TestCleanTargetPreservesTrackedTestdata pins the fix.
 clean:
-	git clean -fdx internal/qasm/testdata internal/qexe/testdata internal/clifford/testdata
+	git clean -fdx internal/qasm/testdata internal/qexe/testdata internal/clifford/testdata \
+		internal/ledger/testdata internal/events/testdata internal/bwprofile/testdata
 	rm -f ledger-shard-*.jsonl events-shard-*.jsonl bw-smoke-*.jsonl
 	$(GO) clean ./...

@@ -1,18 +1,18 @@
 package bwprofile
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+
+	"quest/internal/jsonl"
 )
 
 // Record kinds, carried in every quest-bw/1 line's "record" field.
 const (
-	KindHeader  = "header"
+	KindHeader  = jsonl.KindHeader
 	KindWindow  = "window"
 	KindSummary = "summary"
 )
@@ -89,7 +89,8 @@ func (r *Recorder) WriteJSONL(w io.Writer, experiment string, config map[string]
 		WindowCycles: r.WindowCycles(),
 		Config:       config,
 	}
-	if err := writeLine(w, h); err != nil {
+	enc := json.NewEncoder(w) // one record per line, one Write each
+	if err := writeLine(enc, h); err != nil {
 		return err
 	}
 	r.mu.Lock()
@@ -110,19 +111,15 @@ func (r *Recorder) WriteJSONL(w io.Writer, experiment string, config map[string]
 			ReplayInstrs:   wins[i].instr[BusReplay],
 			TotalBytes:     wins[i].total(),
 		}
-		if err := writeLine(w, rec); err != nil {
+		if err := writeLine(enc, rec); err != nil {
 			return err
 		}
 	}
-	return writeLine(w, SummaryRecord{Record: KindSummary, Summary: r.Summary()})
+	return writeLine(enc, SummaryRecord{Record: KindSummary, Summary: r.Summary()})
 }
 
-func writeLine(w io.Writer, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("bwprofile: %w", err)
-	}
-	if _, err := w.Write(append(b, '\n')); err != nil {
+func writeLine(enc *json.Encoder, v any) error {
+	if err := enc.Encode(v); err != nil {
 		return fmt.Errorf("bwprofile: %w", err)
 	}
 	return nil
@@ -138,72 +135,39 @@ type Stream struct {
 	HasSummary bool
 }
 
-// ParseStream decodes a quest-bw/1 JSONL file: one header line first, then
-// window lines, then exactly one summary line. Unlike the live event stream
-// there is no torn-line tolerance: the profile is written once at run end,
-// so a malformed line is corruption, not a mid-write tail.
+// format is the quest-bw/1 line layout. Unlike the live event stream there
+// is no torn-line tolerance: the profile is written once at run end, so a
+// malformed line is corruption, not a mid-write tail.
+var format = jsonl.Format{Name: "bwprofile", Schema: Schema, SkipBlank: true}
+
+// ParseStream decodes a quest-bw/1 JSONL file: one header line first (with
+// the right schema), then window lines, then exactly one summary line.
 func ParseStream(data []byte) (Stream, error) {
 	var st Stream
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var kind struct {
-			Record string `json:"record"`
-		}
-		if err := json.Unmarshal(line, &kind); err != nil {
-			return st, fmt.Errorf("bwprofile: line %d: %w", lineNo, err)
-		}
-		switch kind.Record {
+	_, err := format.Read(data, func(l jsonl.Line) error {
+		switch l.Kind {
 		case KindHeader:
-			if st.Header.Record != "" {
-				return st, fmt.Errorf("bwprofile: line %d: duplicate header", lineNo)
-			}
-			if len(st.Windows) > 0 || st.HasSummary {
-				return st, fmt.Errorf("bwprofile: line %d: header after records", lineNo)
-			}
-			if err := json.Unmarshal(line, &st.Header); err != nil {
-				return st, fmt.Errorf("bwprofile: line %d: header: %w", lineNo, err)
-			}
+			return l.Decode(&st.Header)
 		case KindWindow:
-			if st.Header.Record == "" {
-				return st, fmt.Errorf("bwprofile: line %d: window before header", lineNo)
-			}
 			if st.HasSummary {
-				return st, fmt.Errorf("bwprofile: line %d: window after summary", lineNo)
+				return l.Errorf("window after summary")
 			}
 			var w WindowRecord
-			if err := json.Unmarshal(line, &w); err != nil {
-				return st, fmt.Errorf("bwprofile: line %d: window: %w", lineNo, err)
+			if err := l.Decode(&w); err != nil {
+				return err
 			}
 			st.Windows = append(st.Windows, w)
+			return nil
 		case KindSummary:
-			if st.Header.Record == "" {
-				return st, fmt.Errorf("bwprofile: line %d: summary before header", lineNo)
-			}
 			if st.HasSummary {
-				return st, fmt.Errorf("bwprofile: line %d: duplicate summary", lineNo)
-			}
-			if err := json.Unmarshal(line, &st.Summary); err != nil {
-				return st, fmt.Errorf("bwprofile: line %d: summary: %w", lineNo, err)
+				return l.Errorf("duplicate summary")
 			}
 			st.HasSummary = true
-		default:
-			return st, fmt.Errorf("bwprofile: line %d: unknown record kind %q", lineNo, kind.Record)
+			return l.Decode(&st.Summary)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return st, err
-	}
-	if st.Header.Record == "" {
-		return st, fmt.Errorf("bwprofile: file is empty")
-	}
-	return st, nil
+		return l.Errorf("unknown record kind %q", l.Kind)
+	})
+	return st, err
 }
 
 // ValidateReport summarizes a validated quest-bw/1 file for tools/bwreport.
@@ -226,9 +190,6 @@ func Validate(data []byte) (ValidateReport, error) {
 	st, err := ParseStream(data)
 	if err != nil {
 		return rep, err
-	}
-	if st.Header.Schema != Schema {
-		return rep, fmt.Errorf("bwprofile: schema %q, want %q", st.Header.Schema, Schema)
 	}
 	if st.Header.Experiment == "" {
 		return rep, fmt.Errorf("bwprofile: header missing experiment name")

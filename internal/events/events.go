@@ -19,13 +19,12 @@
 package events
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
 
+	"quest/internal/jsonl"
 	"quest/internal/metrics"
 )
 
@@ -35,7 +34,7 @@ const Schema = "quest-events/1"
 
 // Record kinds, carried in every line's "record" field.
 const (
-	KindHeader   = "header"
+	KindHeader   = jsonl.KindHeader
 	KindSnapshot = "snapshot"
 )
 
@@ -215,60 +214,30 @@ type Stream struct {
 	Snapshots []Snapshot
 }
 
-// ParseStream decodes a quest-events/1 JSONL stream: one header line first,
-// then snapshot lines. It tolerates a torn final line (what tailing a live
-// stream mid-write yields) by ignoring a trailing line that fails to decode,
-// but any earlier malformed line is an error.
+// format is the quest-events/1 line layout. Blank lines are skipped, and a
+// torn final line — what tailing a live stream mid-write yields — is
+// ignored; any earlier malformed line is an error.
+var format = jsonl.Format{Name: "events", Schema: Schema, SkipBlank: true, Torn: true}
+
+// ParseStream decodes a quest-events/1 JSONL stream: one header line first
+// (with the right schema), then snapshot lines.
 func ParseStream(data []byte) (Stream, error) {
 	var st Stream
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	sawHeader := false
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var kind struct {
-			Record string `json:"record"`
-		}
-		if err := json.Unmarshal(line, &kind); err != nil {
-			if !sc.Scan() { // torn final line: a crash or a live tail mid-write
-				return st, nil
-			}
-			return st, fmt.Errorf("events: line %d: %w", lineNo, err)
-		}
-		switch kind.Record {
+	_, err := format.Read(data, func(l jsonl.Line) error {
+		switch l.Kind {
 		case KindHeader:
-			if sawHeader {
-				return st, fmt.Errorf("events: line %d: duplicate header", lineNo)
-			}
-			if err := json.Unmarshal(line, &st.Header); err != nil {
-				return st, fmt.Errorf("events: line %d: header: %w", lineNo, err)
-			}
-			sawHeader = true
+			return l.Decode(&st.Header)
 		case KindSnapshot:
-			if !sawHeader {
-				return st, fmt.Errorf("events: line %d: snapshot before header", lineNo)
-			}
 			var s Snapshot
-			if err := json.Unmarshal(line, &s); err != nil {
-				return st, fmt.Errorf("events: line %d: snapshot: %w", lineNo, err)
+			if err := l.Decode(&s); err != nil {
+				return err
 			}
 			st.Snapshots = append(st.Snapshots, s)
-		default:
-			return st, fmt.Errorf("events: line %d: unknown record kind %q", lineNo, kind.Record)
+			return nil
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return st, err
-	}
-	if !sawHeader {
-		return st, fmt.Errorf("events: stream is empty")
-	}
-	return st, nil
+		return l.Errorf("unknown record kind %q", l.Kind)
+	})
+	return st, err
 }
 
 // ValidateReport summarizes a validated event stream.
@@ -309,9 +278,6 @@ func validate(data []byte, tail bool) (ValidateReport, error) {
 	st, err := ParseStream(data)
 	if err != nil {
 		return rep, err
-	}
-	if st.Header.Schema != Schema {
-		return rep, fmt.Errorf("events: schema %q, want %q", st.Header.Schema, Schema)
 	}
 	if st.Header.Experiment == "" {
 		return rep, fmt.Errorf("events: header missing experiment name")

@@ -3,6 +3,7 @@ package events
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"quest/internal/bwprofile"
+	"quest/internal/jsonl"
 	"quest/internal/mc"
 	"quest/internal/metrics"
 )
@@ -311,6 +313,16 @@ func TestParseStreamToleratesTornFinalLine(t *testing.T) {
 	}
 }
 
+// TestParseStreamRejectsTornHeader pins that torn-tail tolerance needs a
+// complete header: a stream torn inside its first line is corrupt input, not
+// an empty stream.
+func TestParseStreamRejectsTornHeader(t *testing.T) {
+	_, err := ParseStream([]byte(`{"record":"header","schema":"quest-ev`))
+	if !errors.Is(err, jsonl.ErrCorrupt) {
+		t.Fatalf("ParseStream(torn header) = %v, want ErrCorrupt", err)
+	}
+}
+
 func TestSSEBroadcast(t *testing.T) {
 	b := NewBroadcaster()
 	w := NewWriter(nil, b) // broadcast-only stream
@@ -330,17 +342,19 @@ func TestSSEBroadcast(t *testing.T) {
 		t.Fatalf("Content-Type = %q", ct)
 	}
 
-	sc := bufio.NewScanner(resp.Body)
+	br := bufio.NewReader(resp.Body)
 	readFrame := func() string {
 		t.Helper()
-		for sc.Scan() {
-			line := sc.Text()
-			if strings.HasPrefix(line, "data: ") {
-				return strings.TrimPrefix(line, "data: ")
+		for {
+			line, err := br.ReadString('\n')
+			if data, ok := strings.CutPrefix(strings.TrimSuffix(line, "\n"), "data: "); ok {
+				return data
+			}
+			if err != nil {
+				t.Fatalf("stream ended: %v", err)
+				return ""
 			}
 		}
-		t.Fatalf("stream ended: %v", sc.Err())
-		return ""
 	}
 
 	// Late subscriber still gets the header first.

@@ -27,6 +27,8 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
+
+	"quest/internal/jsonl"
 )
 
 // Schema identifies the JSONL layout; bump on incompatible change.
@@ -34,7 +36,7 @@ const Schema = "quest-ledger/1"
 
 // Record kinds, carried in every line's "record" field.
 const (
-	KindHeader = "header"
+	KindHeader = jsonl.KindHeader
 	KindTrial  = "trial"
 	KindCell   = "cell"
 )
@@ -143,6 +145,9 @@ func SeedString(seed uint64) string { return fmt.Sprintf("0x%016x", seed) }
 // drained.
 type Writer struct {
 	bw *bufio.Writer
+	// enc writes one record per line: the json.Marshal bytes (map keys
+	// sorted, so params stay byte-deterministic) and a newline.
+	enc *json.Encoder
 	// SampleEvery keeps every n-th trial record (1 = all, 0 treated as 1);
 	// cell and header records are never sampled away.
 	sampleEvery int
@@ -173,7 +178,8 @@ func NewShardWriter(w io.Writer, experiment string, config map[string]string, sa
 	} else if shard.Index < 0 || shard.Index >= shard.Count {
 		return nil, fmt.Errorf("ledger: shard index %d outside [0, %d)", shard.Index, shard.Count)
 	}
-	lw := &Writer{bw: bufio.NewWriter(w), sampleEvery: sampleEvery}
+	bw := bufio.NewWriter(w)
+	lw := &Writer{bw: bw, enc: json.NewEncoder(bw), sampleEvery: sampleEvery}
 	host, _ := os.Hostname()
 	h := Header{
 		Record:     KindHeader,
@@ -232,17 +238,7 @@ func (w *Writer) Flush() error {
 }
 
 func (w *Writer) line(v any) error {
-	// json.Marshal (not an Encoder per record) so a line is exactly one
-	// record with no trailing spaces; map keys marshal sorted, keeping
-	// params byte-deterministic.
-	b, err := json.Marshal(v)
-	if err != nil {
-		return w.latch(fmt.Errorf("ledger: %w", err))
-	}
-	if _, err := w.bw.Write(b); err != nil {
-		return w.latch(fmt.Errorf("ledger: %w", err))
-	}
-	if err := w.bw.WriteByte('\n'); err != nil {
+	if err := w.enc.Encode(v); err != nil {
 		return w.latch(fmt.Errorf("ledger: %w", err))
 	}
 	return nil

@@ -222,6 +222,12 @@ func TestParseShardCorruptVsFinding(t *testing.T) {
 			t.Fatalf("ParseShard = %v, want ErrCorrupt", err)
 		}
 	})
+	t.Run("mistyped record is ErrCorrupt", func(t *testing.T) {
+		bad := bytes.Replace(full, []byte(`"trial":0,`), []byte(`"trial":"0",`), 1)
+		if _, err := ParseShard(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("ParseShard = %v, want ErrCorrupt", err)
+		}
+	})
 	t.Run("dangling cell is a finding", func(t *testing.T) {
 		// Header + trial records but no summary: readable, incomplete.
 		partial := bytes.Join(lines[:2], []byte("\n"))

@@ -11,9 +11,6 @@ package ledger
 // skipping work never changes what the work would have produced.
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
 )
@@ -40,131 +37,60 @@ type Resume struct {
 }
 
 // NewResume parses a partial run ledger. Requirements beyond Validate's —
-// and relaxations of them: the header must parse (a file torn inside line 1
-// is no checkpoint at all); trial records must be unsampled and in order
+// and relaxations of them: trial records must be unsampled and in order
 // (indices 0,1,2,... within each cell), since replay is verbatim; a cell
-// summary must agree with its trial-record count; dangling trial records
-// (the crash cell) are accepted rather than rejected; and a final line that
-// fails to parse is dropped as write-tear, anywhere else it is an error.
+// summary must agree with its trial-record count; a cell's records must be
+// contiguous; dangling trial records (the crash cell) are accepted rather
+// than rejected; and a final line that does not parse is dropped as
+// write-tear, anywhere else (the header included) it is an error.
 func NewResume(data []byte) (*Resume, error) {
-	r := &Resume{
-		complete: map[string]*CompletedCell{},
-		partial:  map[string][]Trial{},
-		consumed: map[string]bool{},
-	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var lines [][]byte
-	for sc.Scan() {
-		lines = append(lines, append([]byte(nil), sc.Bytes()...))
-	}
-	if err := sc.Err(); err != nil {
+	sh, err := parse(data, true)
+	if err != nil {
 		return nil, fmt.Errorf("resume ledger: %w", err)
 	}
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("resume ledger: file is empty")
+	r := &Resume{
+		header:    sh.Header,
+		complete:  map[string]*CompletedCell{},
+		partial:   map[string][]Trial{},
+		consumed:  map[string]bool{},
+		truncated: sh.torn,
 	}
-	var openCell string
-	var openTrials []Trial
-	closeOpen := func() {
-		if openCell != "" {
-			r.partial[openCell] = openTrials
-			openCell, openTrials = "", nil
-		}
-	}
-	for i, raw := range lines {
-		last := i == len(lines)-1
-		var kind struct {
-			Record string `json:"record"`
-		}
-		if err := json.Unmarshal(raw, &kind); err != nil {
-			if last && i > 0 {
-				r.truncated = true // torn final line from a crash mid-write
-				break
-			}
-			return nil, fmt.Errorf("resume ledger: line %d: %w", i+1, err)
-		}
-		if i == 0 {
-			if kind.Record != KindHeader {
-				return nil, fmt.Errorf("resume ledger: first record is %q, want %q", kind.Record, KindHeader)
-			}
-			if err := json.Unmarshal(raw, &r.header); err != nil {
-				return nil, fmt.Errorf("resume ledger: header: %w", err)
-			}
-			if r.header.Schema != Schema {
-				return nil, fmt.Errorf("resume ledger: schema %q, want %q", r.header.Schema, Schema)
-			}
-			continue
-		}
-		switch kind.Record {
-		case KindHeader:
-			return nil, fmt.Errorf("resume ledger: line %d: duplicate header", i+1)
-		case KindTrial:
-			var t Trial
-			if err := json.Unmarshal(raw, &t); err != nil {
-				if last {
-					r.truncated = true
-					break
-				}
-				return nil, fmt.Errorf("resume ledger: line %d: trial: %w", i+1, err)
-			}
-			if t.Cell == "" {
-				return nil, fmt.Errorf("resume ledger: line %d: trial record missing cell name", i+1)
-			}
-			if t.Cell != openCell {
-				closeOpen()
-				if _, dup := r.complete[t.Cell]; dup {
-					return nil, fmt.Errorf("resume ledger: line %d: trial for cell %q after its summary", i+1, t.Cell)
-				}
-				if _, dup := r.partial[t.Cell]; dup {
-					return nil, fmt.Errorf("resume ledger: line %d: cell %q recorded twice", i+1, t.Cell)
-				}
-				openCell = t.Cell
-			}
-			if t.Trial != len(openTrials) {
-				return nil, fmt.Errorf("resume ledger: line %d: cell %q trial index %d, want %d — resume needs an unsampled, in-order ledger",
-					i+1, t.Cell, t.Trial, len(openTrials))
-			}
-			openTrials = append(openTrials, t)
-		case KindCell:
-			var c Cell
-			if err := json.Unmarshal(raw, &c); err != nil {
-				if last {
-					r.truncated = true
-					break
-				}
-				return nil, fmt.Errorf("resume ledger: line %d: cell: %w", i+1, err)
-			}
-			if c.Cell == "" {
-				return nil, fmt.Errorf("resume ledger: line %d: cell record missing name", i+1)
-			}
-			trials := openTrials
-			if c.Cell != openCell {
-				closeOpen()
-				trials = nil
-			}
-			openCell, openTrials = "", nil
-			if _, dup := r.complete[c.Cell]; dup {
-				return nil, fmt.Errorf("resume ledger: line %d: duplicate cell summary %q", i+1, c.Cell)
-			}
-			if _, dup := r.partial[c.Cell]; dup {
-				return nil, fmt.Errorf("resume ledger: line %d: cell %q recorded twice", i+1, c.Cell)
-			}
-			if len(trials) != c.Trials {
-				return nil, fmt.Errorf("resume ledger: line %d: cell %q has %d trial record(s) but summarizes %d — resume needs an unsampled ledger",
-					i+1, c.Cell, len(trials), c.Trials)
-			}
-			r.complete[c.Cell] = &CompletedCell{Summary: c, Trials: trials}
-		default:
-			if last {
-				r.truncated = true
-				break
-			}
-			return nil, fmt.Errorf("resume ledger: line %d: unknown record kind %q", i+1, kind.Record)
+	for _, b := range sh.Cells {
+		if err := r.add(b); err != nil {
+			return nil, fmt.Errorf("resume ledger: %w", err)
 		}
 	}
-	closeOpen()
 	return r, nil
+}
+
+// add records one cell block: complete when a summary closes it, partial
+// (the crash cell) when none does.
+func (r *Resume) add(b CellBlock) error {
+	if _, dup := r.complete[b.Name]; dup {
+		if len(b.trials) > 0 {
+			return fmt.Errorf("line %d: trial for cell %q after its summary", b.line, b.Name)
+		}
+		return fmt.Errorf("line %d: duplicate cell summary %q", b.line, b.Name)
+	}
+	if _, dup := r.partial[b.Name]; dup {
+		return fmt.Errorf("line %d: cell %q recorded twice", b.line, b.Name)
+	}
+	for i, t := range b.trials {
+		if t.Trial != i {
+			return fmt.Errorf("line %d: cell %q trial index %d, want %d — resume needs an unsampled, in-order ledger",
+				b.line+i, b.Name, t.Trial, i)
+		}
+	}
+	if b.summary == nil {
+		r.partial[b.Name] = b.trials
+		return nil
+	}
+	if n := len(b.trials); n != b.summary.Trials {
+		return fmt.Errorf("line %d: cell %q has %d trial record(s) but summarizes %d — resume needs an unsampled ledger",
+			b.line+n, b.Name, n, b.summary.Trials)
+	}
+	r.complete[b.Name] = &CompletedCell{Summary: *b.summary, Trials: b.trials}
+	return nil
 }
 
 // Header returns the partial ledger's provenance header, so callers can

@@ -115,6 +115,10 @@ func TestResumeRejects(t *testing.T) {
 		{"gap in trial indices", joinLines([][]byte{lines[0], lines[1], lines[3]}), "want 1"},
 		{"summary count mismatch", joinLines([][]byte{lines[0], lines[1], lines[4]}), "summarizes 3"},
 		{"cell recorded twice", joinLines(append(append([][]byte{}, lines...), lines[1], lines[2], lines[3], lines[4])), "after its summary"},
+		// Only a line that is not JSON can come from a torn write; a complete
+		// final line that says something wrong is refused like any other.
+		{"unknown kind as final line", joinLines(append(append([][]byte{}, lines[:5]...), []byte(`{"record":"mystery"}`))), "unknown record kind"},
+		{"mistyped final line", joinLines(append(append([][]byte{}, lines[:5]...), []byte(`{"record":"trial","cell":"cell-1","trial":"0"}`))), "cannot unmarshal"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

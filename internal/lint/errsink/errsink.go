@@ -6,10 +6,12 @@
 // silently-truncated artifact that downstream checkers then "validate".
 //
 // A call is flagged when its callee lives in a sink package
-// (internal/ledger, internal/events, internal/bwprofile,
+// (internal/jsonl, internal/ledger, internal/events, internal/bwprofile,
 // tools/internal/cli), its signature returns an error, and the caller
 // discards it: a bare expression statement, a deferred call, or an
-// assignment that sends every error result to blank.
+// assignment that sends every error result to blank. internal/jsonl is a
+// sink for the reading side of the same contract: a dropped parse error lets
+// corrupt input through as if it had validated.
 package errsink
 
 import (
@@ -23,6 +25,7 @@ import (
 // sinkPkgs are the package-path suffixes whose error results must not be
 // dropped.
 var sinkPkgs = []string{
+	"internal/jsonl", // the reader every artifact stream parses through
 	"internal/ledger",
 	"internal/events",
 	"internal/bwprofile",
@@ -32,7 +35,7 @@ var sinkPkgs = []string{
 // Analyzer flags discarded error results from artifact-writing packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "errsink",
-	Doc: "error result from a ledger/events/bwprofile/cli call discarded; " +
+	Doc: "error result from a jsonl/ledger/events/bwprofile/cli call discarded; " +
 		"a dropped write error breaks the byte-identity contract",
 	Run: run,
 }

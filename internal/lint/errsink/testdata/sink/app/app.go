@@ -1,6 +1,7 @@
 package app
 
 import (
+	"fix/internal/jsonl"
 	"fix/internal/ledger"
 	"fix/internal/other"
 )
@@ -20,6 +21,9 @@ func use(w *ledger.Writer) error {
 	if err != nil {
 		return err
 	}
+	jsonl.Read(nil)            // want "error result of jsonl.Read discarded"
+	torn, _ := jsonl.Read(nil) // want "error result of jsonl.Read discarded"
+	_ = torn
 	w.Count()      // ok: no error result
 	other.Emit(3)  // ok: not a sink package
 	func() error { // ok: dynamic call, no static callee

@@ -21,8 +21,8 @@
 //   - gateflow (everywhere outside nogate's scope, interprocedural):
 //     observer method calls reachable from a hot root are nil-gated on
 //     their receiver on every call path.
-//   - errsink (everywhere): error results from ledger/events/bwprofile/cli
-//     calls are never discarded.
+//   - errsink (everywhere): error results from jsonl/ledger/events/
+//     bwprofile/cli calls are never discarded.
 //
 // The interprocedural analyzers share one whole-module call graph
 // (internal/lint/callgraph) built per run; its hot roots are the Monte-

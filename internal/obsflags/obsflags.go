@@ -36,7 +36,8 @@
 //	-bw-window N         bandwidth profile window width in machine cycles
 //	                     (0 = default 8)
 //
-// At most one of -events and -bw may write to stdout ('-').
+// -events, -bw, -heatmap and -trace take '-' for stdout; at most one of them
+// may.
 //
 // With -pprof, the HTTP server additionally serves the live event stream as
 // Server-Sent Events on /events and a liveness probe on /healthz.
@@ -320,19 +321,12 @@ func (o *Obs) OpenEvents(experiment string, config map[string]string) error {
 	if o.eventsOpened {
 		return fmt.Errorf("events: OpenEvents called twice")
 	}
-	var w io.Writer
-	switch *o.eventsPath {
-	case "":
-		// -pprof without -events: SSE-only stream, no file.
-	case "-":
-		w = os.Stdout
-	default:
-		f, err := os.Create(*o.eventsPath)
-		if err != nil {
+	var w io.Writer // nil for -pprof without -events: SSE-only stream, no file
+	if *o.eventsPath != "" {
+		var err error
+		if w, o.eventsFile, err = create(*o.eventsPath); err != nil {
 			return fmt.Errorf("events: %w", err)
 		}
-		o.eventsFile = f
-		w = f
 	}
 	smp := events.NewSampler(events.NewWriter(w, o.bcast), o.ShardReg())
 	smp.SetBW(o.bw) // nil when -bw is off; snapshots then omit the BW section
@@ -408,10 +402,16 @@ func (o *Obs) Start() error {
 	if *o.bwWindow < 0 {
 		return fmt.Errorf("-bw-window %d out of range: want a window width in machine cycles, or 0 for the default %d", *o.bwWindow, bwprofile.DefaultWindow)
 	}
-	if *o.eventsPath == "-" && *o.bwPath == "-" {
-		// Both artifacts are line-oriented JSONL on their own schema; two
-		// writers interleaving on one stdout would corrupt both.
-		return fmt.Errorf("-events - and -bw - both claim stdout: at most one stream may write to '-', give the other a file path")
+	var stdout []string
+	for _, f := range [][2]string{{"events", *o.eventsPath}, {"bw", *o.bwPath}, {"heatmap", *o.heatPath}, {"trace", *o.tracePath}} {
+		if f[1] == "-" {
+			stdout = append(stdout, "-"+f[0]+" -")
+		}
+	}
+	if len(stdout) > 1 {
+		// Each artifact has its own schema; two of them sharing one stdout
+		// would corrupt both.
+		return fmt.Errorf("%s both claim stdout: at most one stream may write to '-', give the other a file path", strings.Join(stdout, " and "))
 	}
 	shard, err := ledger.ParseShardSpec(*o.shardSpec)
 	if err != nil {
@@ -501,46 +501,33 @@ func (o *Obs) Finish() error {
 				len(left), left)
 		}
 	}
+	// stage runs one output stage: a failure is logged and the first one
+	// returned, but later stages still run.
+	stage := func(name string, run func() error) {
+		if err := run(); err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			fmt.Fprintln(o.Log, name+":", err)
+		}
+	}
 	if o.eventsOpened {
 		o.eventsOpened = false
 		// Stop the sampler first so the stream's final snapshot captures the
 		// cells' terminal state before anything else is torn down.
-		if err := o.closeEvents(); err != nil {
-			firstErr = err
-			fmt.Fprintln(o.Log, "events:", err)
-		}
+		stage("events", o.closeEvents)
 	}
 	if *o.tracePath != "" && tracing.Default != nil {
-		if err := o.writeTrace(); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			fmt.Fprintln(o.Log, "trace:", err)
-		}
+		stage("trace", o.writeTrace)
 	}
 	if o.ledgerW != nil {
-		if err := o.closeLedger(); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			fmt.Fprintln(o.Log, "ledger:", err)
-		}
+		stage("ledger", o.closeLedger)
 	}
 	if o.heat != nil {
-		if err := o.writeHeat(); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			fmt.Fprintln(o.Log, "heatmap:", err)
-		}
+		stage("heatmap", o.writeHeat)
 	}
 	if o.bw != nil {
-		if err := o.writeBW(); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			fmt.Fprintln(o.Log, "bw:", err)
-		}
+		stage("bw", o.writeBW)
 	}
 	switch *o.metricsFmt {
 	case "text":
@@ -578,18 +565,10 @@ func (o *Obs) closeLedger() error {
 }
 
 func (o *Obs) writeHeat() error {
-	f, err := os.Create(*o.heatPath)
-	if err != nil {
+	if err := o.writeArtifact(*o.heatPath, o.heat.WriteJSON,
+		"heatmap: %d grid(s) written to %s\n", o.heat.Len(), *o.heatPath); err != nil {
 		return err
 	}
-	if err := o.heat.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(o.Log, "heatmap: %d grid(s) written to %s\n", o.heat.Len(), *o.heatPath)
 	for _, name := range o.heat.Names() {
 		c := o.heat.Lookup(name)
 		render, err := chart.Heatmap(c.Defects(), chart.HeatmapOptions{
@@ -607,26 +586,12 @@ func (o *Obs) writeHeat() error {
 func (o *Obs) writeBW() error {
 	bw := o.bw
 	o.bw = nil
-	if *o.bwPath == "-" {
-		if err := bw.WriteJSONL(os.Stdout, o.bwExperiment, o.bwConfig); err != nil {
-			return err
-		}
-	} else {
-		f, err := os.Create(*o.bwPath)
-		if err != nil {
-			return err
-		}
-		if err := bw.WriteJSONL(f, o.bwExperiment, o.bwConfig); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
 	s := bw.Summary()
-	fmt.Fprintf(o.Log, "bw: %d window(s) over %d cycle(s) written to %s (compare with bwreport)\n",
-		s.Windows, s.Cycles, *o.bwPath)
+	write := func(w io.Writer) error { return bw.WriteJSONL(w, o.bwExperiment, o.bwConfig) }
+	if err := o.writeArtifact(*o.bwPath, write,
+		"bw: %d window(s) over %d cycle(s) written to %s (compare with bwreport)\n", s.Windows, s.Cycles, *o.bwPath); err != nil {
+		return err
+	}
 	wins := bw.WindowBytes()
 	if len(wins) == 0 {
 		return nil
@@ -657,19 +622,45 @@ func specOrUnsharded(s ledger.ShardInfo) string {
 }
 
 func (o *Obs) writeTrace() error {
-	f, err := os.Create(*o.tracePath)
+	tr := tracing.Default
+	if err := o.writeArtifact(*o.tracePath, tr.WriteJSON,
+		"trace: %d event(s) on %d track(s) written to %s (load in ui.perfetto.dev)\n",
+		tr.Len(), len(tr.Summaries()), *o.tracePath); err != nil {
+		return err
+	}
+	fmt.Fprintln(o.Log, "-- trace summary --")
+	return tr.Summarize(o.Log)
+}
+
+// create opens an artifact destination: '-' is stdout, returned with a nil
+// file (the caller must not close stdout); anything else is a new file.
+func create(path string) (io.Writer, *os.File, error) {
+	if path == "-" {
+		return os.Stdout, nil, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, f, nil
+}
+
+// writeArtifact writes one artifact to path ('-' = stdout) with write,
+// closes it, and then logs the status line.
+func (o *Obs) writeArtifact(path string, write func(io.Writer) error, status string, args ...any) error {
+	w, f, err := create(path)
 	if err != nil {
 		return err
 	}
-	if err := tracing.Default.WriteJSON(f); err != nil {
-		f.Close()
+	err = write(w)
+	if f != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(o.Log, "trace: %d event(s) on %d track(s) written to %s (load in ui.perfetto.dev)\n",
-		tracing.Default.Len(), len(tracing.Default.Summaries()), *o.tracePath)
-	fmt.Fprintln(o.Log, "-- trace summary --")
-	return tracing.Default.Summarize(o.Log)
+	fmt.Fprintf(o.Log, status, args...)
+	return nil
 }

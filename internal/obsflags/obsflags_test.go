@@ -493,18 +493,24 @@ func TestEventsSSEAndHealthz(t *testing.T) {
 
 func TestStartRejectsTwoStdoutStreams(t *testing.T) {
 	defer resetDefaults()
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	o := Register(fs)
-	o.Log = io.Discard
-	if err := fs.Parse([]string{"-events", "-", "-bw", "-"}); err != nil {
-		t.Fatal(err)
-	}
-	err := o.Start()
-	if err == nil {
-		t.Fatal("Start accepted -events - with -bw -: two JSONL streams would interleave on stdout")
-	}
-	if !strings.Contains(err.Error(), "stdout") {
-		t.Errorf("error %q does not name the stdout conflict", err)
+	for _, argv := range [][]string{
+		{"-events", "-", "-bw", "-"},
+		{"-bw", "-", "-heatmap", "-"},
+		{"-trace", "-", "-events", "-"},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		o := Register(fs)
+		o.Log = io.Discard
+		if err := fs.Parse(argv); err != nil {
+			t.Fatal(err)
+		}
+		err := o.Start()
+		if err == nil {
+			t.Fatalf("Start accepted %v: two artifacts would interleave on stdout", argv)
+		}
+		if !strings.Contains(err.Error(), "stdout") {
+			t.Errorf("error %q does not name the stdout conflict", err)
+		}
 	}
 }
 
@@ -513,6 +519,8 @@ func TestStartAllowsOneStdoutStream(t *testing.T) {
 	for _, argv := range [][]string{
 		{"-events", "-"},
 		{"-bw", "-"},
+		{"-heatmap", "-"},
+		{"-trace", "-"},
 	} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		o := Register(fs)

@@ -17,8 +17,9 @@
 // from the windows). CI's bw-smoke job gates on it.
 //
 // Exit codes follow the tools/internal/cli contract: 0 clean, 1 findings
-// (invalid profile), 2 usage or unreadable input. Rows sort by design then
-// experiment then source, so any argument order renders identical bytes.
+// (invalid profile), 2 usage, unreadable or corrupt input (a line that is
+// not JSON). Rows sort by design then experiment then source, so any
+// argument order renders identical bytes.
 package main
 
 import (
@@ -51,7 +52,7 @@ func command() *cli.Command {
 				}
 				rep, err := bwprofile.Validate(data)
 				if err != nil {
-					return cli.Failf("%s: %v", src, err)
+					return fmt.Errorf("%s: %w", src, err)
 				}
 				runs = append(runs, run{src: src, report: rep})
 			}

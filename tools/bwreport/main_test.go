@@ -34,12 +34,23 @@ func writeProfile(t *testing.T, dir, name, experiment, design string, peak uint6
 
 // TestBwreportExitCodeContract extends the tools/internal/cli exit-code
 // contract to this binary: 0 clean, 1 findings (invalid profile), 2
-// unusable input (missing file, no arguments, unknown flag).
+// unusable input (missing file, corrupt line, no arguments, unknown flag).
 func TestBwreportExitCodeContract(t *testing.T) {
 	dir := t.TempDir()
 	good := writeProfile(t, dir, "good", "questsim", "ram", 40)
 	corrupt := filepath.Join(dir, "corrupt.jsonl")
 	if err := os.WriteFile(corrupt, []byte(`{"record":"header","schema":"quest-other/9"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	garbled := filepath.Join(dir, "garbled.jsonl")
+	// A garbled line right after the header: not the final line, so it is
+	// corruption even for readers that tolerate a torn tail.
+	mid := bytes.Replace(data, []byte("\n"), []byte("\n{torn\n"), 1)
+	if err := os.WriteFile(garbled, mid, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -51,6 +62,7 @@ func TestBwreportExitCodeContract(t *testing.T) {
 		{"valid with -check", []string{"-check", good}, 0},
 		{"invalid schema", []string{corrupt}, 1},
 		{"missing file", []string{filepath.Join(dir, "absent.jsonl")}, 2},
+		{"corrupt line mid-file", []string{"-check", garbled}, 2},
 		{"no arguments", nil, 2},
 		{"unknown flag", []string{"-nope", good}, 2},
 	} {

@@ -7,10 +7,12 @@
 //	1 — the check ran and found findings (validation failure, regression,
 //	    lint diagnostics)
 //	2 — the command could not run the check at all (bad usage, unreadable
-//	    input, malformed flags)
+//	    or corrupt input, malformed flags)
 //
 // Commands return errors built with Failf (exit 1) or Usagef (exit 2) from
-// their Run function; any other error is treated as a finding (exit 1).
+// their Run function. An error wrapping jsonl.ErrCorrupt — input bytes that
+// do not parse as the artifact's records — is usage-class too; any other
+// error is treated as a finding (exit 1).
 // Execute never calls os.Exit, so tests pin the exit codes in-process;
 // Main is the thin os.Exit wrapper for the real binaries.
 package cli
@@ -21,6 +23,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"quest/internal/jsonl"
 )
 
 // Exit codes of the checker-command contract.
@@ -98,8 +102,11 @@ func (c *Command) Execute(argv []string, stdout, stderr io.Writer) int {
 	if err := c.Run(fs.Args(), stdout); err != nil {
 		fmt.Fprintf(stderr, "%s: %v\n", c.Name, err)
 		var ee *exitError
-		if errors.As(err, &ee) {
+		switch {
+		case errors.As(err, &ee):
 			return ee.code
+		case errors.Is(err, jsonl.ErrCorrupt):
+			return ExitUsage
 		}
 		return ExitFindings
 	}

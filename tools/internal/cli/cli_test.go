@@ -7,6 +7,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"quest/internal/jsonl"
 )
 
 func cmd(run func(args []string, stdout io.Writer) error) *Command {
@@ -20,6 +22,7 @@ func TestExitCodeContract(t *testing.T) {
 	finding := func(args []string, stdout io.Writer) error { return Failf("regression in %s", args[0]) }
 	usage := func(args []string, stdout io.Writer) error { return Usagef("cannot read %s", args[0]) }
 	plain := func(args []string, stdout io.Writer) error { return errors.New("unclassified failure") }
+	corrupt := func(args []string, stdout io.Writer) error { return fmt.Errorf("%s: %w", args[0], jsonl.ErrCorrupt) }
 
 	cases := []struct {
 		name string
@@ -31,6 +34,7 @@ func TestExitCodeContract(t *testing.T) {
 		{"findings", cmd(finding), []string{"in.json"}, ExitFindings},
 		{"usage error from run", cmd(usage), []string{"in.json"}, ExitUsage},
 		{"plain error counts as finding", cmd(plain), []string{"in.json"}, ExitFindings},
+		{"corrupt input is usage-class", cmd(corrupt), []string{"in.json"}, ExitUsage},
 		{"missing positional arg", cmd(ok), nil, ExitUsage},
 		{"excess positional args", cmd(ok), []string{"a", "b"}, ExitUsage},
 		{"unknown flag", cmd(ok), []string{"-nope", "in.json"}, ExitUsage},

@@ -11,7 +11,7 @@
 //	ledgercheck [-min-cells N] [-min-trials N] run.ledger
 //
 // Exit codes follow the tools/internal/cli contract: 0 valid, 1 validation
-// findings, 2 usage or unreadable input.
+// findings, 2 usage, unreadable or corrupt input (a line that is not JSON).
 package main
 
 import (
@@ -40,7 +40,7 @@ func command() *cli.Command {
 			}
 			rep, err := ledger.Validate(data)
 			if err != nil {
-				return cli.Failf("%s: %v", path, err)
+				return fmt.Errorf("%s: %w", path, err)
 			}
 			if rep.Cells < *minCells {
 				return cli.Failf("%s: %d cell(s), want >= %d", path, rep.Cells, *minCells)

@@ -21,7 +21,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -51,11 +50,8 @@ func command() *cli.Command {
 				}
 				sh, err := ledger.ParseShard(data)
 				if err != nil {
-					if errors.Is(err, ledger.ErrCorrupt) {
-						// Unparseable bytes mean the merge never ran.
-						return cli.Usagef("%s: %v", path, err)
-					}
-					return cli.Failf("%s: %v", path, err)
+					// Corrupt bytes exit 2 (the merge never ran).
+					return fmt.Errorf("%s: %w", path, err)
 				}
 				shards = append(shards, sh)
 			}

@@ -23,10 +23,11 @@
 // slow one may drop frames). CI's events-smoke job gates on it.
 //
 // Exit codes follow the tools/internal/cli contract: 0 clean, 1 findings
-// (invalid stream, incoherent fleet), 2 usage or unreadable input. The
-// aggregate view is deterministic in the shard arrival order: rows sort by
-// shard identity, not argument position, so any ordering of the same
-// streams renders identical totals.
+// (invalid stream, incoherent fleet), 2 usage, unreadable or corrupt input
+// (a line before the last that is not JSON; a torn final line is
+// tolerated). The aggregate view is deterministic in the shard arrival
+// order: rows sort by shard identity, not argument position, so any
+// ordering of the same streams renders identical totals.
 package main
 
 import (
@@ -66,7 +67,7 @@ func command() *cli.Command {
 				}
 				st, err := events.ParseStream(data)
 				if err != nil {
-					return cli.Failf("%s: %v", src, err)
+					return fmt.Errorf("%s: %w", src, err)
 				}
 				validate := events.Validate
 				if live {

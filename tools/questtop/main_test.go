@@ -48,7 +48,8 @@ func writeEventStream(t *testing.T, dir, name, experiment string, index, count i
 
 // TestQuesttopExitCodeContract extends the tools/internal/cli exit-code
 // contract to this binary: 0 clean, 1 findings (invalid stream, incoherent
-// fleet), 2 unusable input (missing file, no arguments, unknown flag).
+// fleet), 2 unusable input (missing file, corrupt line, no arguments,
+// unknown flag).
 func TestQuesttopExitCodeContract(t *testing.T) {
 	dir := t.TempDir()
 	s0 := writeEventStream(t, dir, "shard0", "exit-test", 0, 2, "cell-a")
@@ -69,6 +70,13 @@ func TestQuesttopExitCodeContract(t *testing.T) {
 	if err := os.WriteFile(torn, append(data, []byte(`{"record":"snapsh`)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	corrupt := filepath.Join(dir, "corrupt.jsonl")
+	// A garbled line right after the header: not the final line, so it is
+	// corruption even for readers that tolerate a torn tail.
+	mid := bytes.Replace(data, []byte("\n"), []byte("\n{torn\n"), 1)
+	if err := os.WriteFile(corrupt, mid, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name string
@@ -84,6 +92,7 @@ func TestQuesttopExitCodeContract(t *testing.T) {
 		{"mismatched shard count", []string{"-check", s0, otherCount}, 1},
 		{"duplicate shard index", []string{"-check", s0, s0}, 1},
 		{"missing file", []string{filepath.Join(dir, "nope.jsonl")}, 2},
+		{"corrupt line mid-file", []string{"-check", corrupt, s1}, 2},
 		{"no arguments", nil, 2},
 		{"unknown flag", []string{"-nope", s0}, 2},
 	}
