@@ -187,10 +187,11 @@ examples:
 	$(GO) run ./examples/host_pipeline
 	$(GO) run ./examples/algorithms
 
-# Brief fuzzing runs over the wire formats and the JSONL artifact
-# readers (ledger, events, quest-bw/1), plus the stabilizer tableau against
-# its row-major oracle. The artifact readers' seeds are whole writer outputs,
-# so minimizing each new input would eat the run: it is switched off.
+# Brief fuzzing runs over the wire formats, the JSONL artifact readers
+# (ledger, events, quest-bw/1) and the trace reader, plus the stabilizer
+# tableau against its row-major oracle. The artifact readers' seeds are whole
+# writer outputs, so minimizing each new input would eat the run: it is
+# switched off.
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/qasm/
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/qexe/
@@ -198,6 +199,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLedgerRead -fuzztime 30s -fuzzminimizetime 1x ./internal/ledger/
 	$(GO) test -run '^$$' -fuzz FuzzEventsParse -fuzztime 30s -fuzzminimizetime 1x ./internal/events/
 	$(GO) test -run '^$$' -fuzz FuzzBWParse -fuzztime 30s -fuzzminimizetime 1x ./internal/bwprofile/
+	$(GO) test -run '^$$' -fuzz FuzzTraceValidate -fuzztime 30s -fuzzminimizetime 1x ./internal/tracing/
 
 # Remove only *untracked* files under the fuzz corpora directories (fuzzing
 # drops new inputs there) plus build artifacts. An earlier version ran
@@ -205,6 +207,7 @@ fuzz:
 # corpora; TestCleanTargetPreservesTrackedTestdata pins the fix.
 clean:
 	git clean -fdx internal/qasm/testdata internal/qexe/testdata internal/clifford/testdata \
-		internal/ledger/testdata internal/events/testdata internal/bwprofile/testdata
+		internal/ledger/testdata internal/events/testdata internal/bwprofile/testdata \
+		internal/tracing/testdata
 	rm -f ledger-shard-*.jsonl events-shard-*.jsonl bw-smoke-*.jsonl
 	$(GO) clean ./...

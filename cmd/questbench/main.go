@@ -1,13 +1,14 @@
 // Command questbench regenerates every table and figure of the paper's
-// evaluation section as text tables. Run with no arguments for everything,
-// or name experiments: fig2 fig6 fig10 fig11 fig13 fig14 fig15 fig16 table1
-// table2 machine.
+// evaluation section. Run with no arguments for everything, or name
+// experiments: fig2 fig6 fig10 fig11 fig13 fig14 fig15 fig16 table1 table2
+// machine concat dram threshold memory syndrome. Tables print as aligned
+// text; -md renders the same tables as a Markdown report.
 //
-// The statistical paths (threshold, memory, and the -md report's validation
-// section) accept -trials and -workers. Trials fan out across a worker pool
-// with per-trial seeds mixed from a fixed experiment seed, so the printed
-// rates are bit-identical for every -workers value — crank workers for
-// wall-clock, crank trials for confidence.
+// The statistical paths (threshold, memory) accept -trials and -workers.
+// Trials fan out across a worker pool with per-trial seeds mixed from a
+// fixed experiment seed, so the printed rates are bit-identical for every
+// -workers value — crank workers for wall-clock, crank trials for
+// confidence.
 //
 // Observability (shared with questsim via internal/obsflags): -metrics,
 // -pprof, -trace, -trace-buf, plus the experiment-ledger bundle — -ledger
@@ -42,6 +43,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -54,7 +56,7 @@ import (
 )
 
 var (
-	flagMD      = flag.Bool("md", false, "emit the full evaluation as a Markdown report")
+	flagMD      = flag.Bool("md", false, "render the tables as a Markdown report instead of aligned text")
 	flagTrials  = flag.Int("trials", 0, "Monte-Carlo trials per statistical cell (0 = per-experiment default)")
 	flagWorkers = flag.Int("workers", 0, "Monte-Carlo worker goroutines (0 = GOMAXPROCS)")
 	flagBench   = flag.String("bench-json", "", "run the performance benchmark suite and write the JSON report to this path ('-' for stdout), then exit")
@@ -76,11 +78,22 @@ func trialsOr(def int) int {
 	return def
 }
 
-var experiments = []struct {
+// table is one experiment's result, built once and rendered by runOne as
+// text or Markdown: a header and its rows (both nil when the experiment has
+// no table), then any text printed after them, such as a bar chart.
+type table struct {
+	header []string
+	rows   [][]string
+	notes  string
+}
+
+type experiment struct {
 	name string
 	desc string
-	run  func()
-}{
+	run  func() (table, error)
+}
+
+var experiments = []experiment{
 	{"fig2", "Baseline instruction bandwidth vs qubit count (Shor 128-1024 bits)", fig2},
 	{"fig6", "QECC:regular instruction ratio per workload", fig6},
 	{"fig10", "Required microcode capacity vs qubits serviced per design", fig10},
@@ -111,36 +124,30 @@ func main() {
 		return
 	}
 	defer obs.Finish()
-	// Deliberately no -workers here: the ledger is byte-identical for any
-	// worker count, and recording the pool size would break that.
-	lw, err := obs.OpenLedger("questbench", map[string]string{
+	run := experiments
+	if len(args) > 0 {
+		run = selectExperiments(args)
+	}
+	// The ledger, the telemetry stream and the bandwidth profile share one
+	// provenance, so each artifact identifies the run it came from.
+	// Deliberately no -workers or -md: the artifacts are byte-identical for
+	// any worker count and either output format, and recording them would
+	// break that.
+	prov := map[string]string{
 		"args":    strings.Join(args, " "),
 		"trials":  strconv.Itoa(*flagTrials),
 		"ci-stop": strconv.FormatFloat(obs.CIStop(), 'g', -1, 64),
-	})
+	}
+	lw, err := obs.OpenLedger("questbench", prov)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// The telemetry stream shares the ledger's provenance: same experiment
-	// name, same config (and the same deliberate -workers omission — events
-	// are operational, but the pairing with the ledger should be obvious).
-	if err := obs.OpenEvents("questbench", map[string]string{
-		"args":    strings.Join(args, " "),
-		"trials":  strconv.Itoa(*flagTrials),
-		"ci-stop": strconv.FormatFloat(obs.CIStop(), 'g', -1, 64),
-	}); err != nil {
+	if err := obs.OpenEvents("questbench", prov); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// Same provenance for the bandwidth profile: the artifact must identify
-	// the run it measured, and -workers stays out so the waveform bytes keep
-	// their worker-count independence.
-	if err := obs.OpenBW("questbench", map[string]string{
-		"args":    strings.Join(args, " "),
-		"trials":  strconv.Itoa(*flagTrials),
-		"ci-stop": strconv.FormatFloat(obs.CIStop(), 'g', -1, 64),
-	}); err != nil {
+	if err := obs.OpenBW("questbench", prov); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -166,31 +173,36 @@ func main() {
 		Resume:   obs.Resume(),
 	}
 	if *flagMD {
-		// Full evaluation as a self-contained Markdown report.
-		fmt.Print(core.MarkdownReport(trialsOr(150), *flagWorkers))
-		return
+		fmt.Print("# QuEST evaluation report (regenerated)\n")
 	}
-	if len(args) == 0 {
+	for _, e := range run {
+		if err := runOne(os.Stdout, *flagMD, e); err != nil {
+			fmt.Fprintf(os.Stderr, "%s experiment failed: %v\n", e.name, err)
+			obs.Finish()
+			os.Exit(1)
+		}
+	}
+}
+
+// selectExperiments resolves experiment names (case-insensitive) in the
+// order given. An unknown name prints the available list and exits 2.
+func selectExperiments(names []string) []experiment {
+	var sel []experiment
+next:
+	for _, a := range names {
 		for _, e := range experiments {
-			runOne(e.name, e.desc, e.run)
-		}
-		return
-	}
-	byName := map[string]int{}
-	for i, e := range experiments {
-		byName[e.name] = i
-	}
-	for _, a := range args {
-		i, ok := byName[strings.ToLower(a)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; available:\n", a)
-			for _, e := range experiments {
-				fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.name, e.desc)
+			if e.name == strings.ToLower(a) {
+				sel = append(sel, e)
+				continue next
 			}
-			os.Exit(2)
 		}
-		runOne(experiments[i].name, experiments[i].desc, experiments[i].run)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; available:\n", a)
+		for _, e := range experiments {
+			fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.name, e.desc)
+		}
+		os.Exit(2)
 	}
+	return sel
 }
 
 // runBenchJSON runs the benchsuite and writes the report to path ('-' =
@@ -214,13 +226,51 @@ func runBenchJSON(path, benchtime string) {
 	fmt.Fprintf(os.Stderr, "bench-json: %d cases written to %s\n", len(rep.Results), path)
 }
 
-func runOne(name, desc string, f func()) {
-	fmt.Printf("== %s: %s ==\n", name, desc)
-	f()
-	fmt.Println()
+// runOne runs one experiment and writes its table to w: as an
+// "== name: desc ==" block of aligned text, or with md as a "## name: desc"
+// Markdown section whose notes go in a fenced block.
+func runOne(w io.Writer, md bool, e experiment) error {
+	t, err := e.run()
+	if err != nil {
+		return err
+	}
+	if !md {
+		fmt.Fprintf(w, "== %s: %s ==\n", e.name, e.desc)
+		if t.header != nil {
+			io.WriteString(w, core.FormatTable(t.header, t.rows))
+			if t.notes != "" {
+				fmt.Fprintln(w)
+			}
+		}
+		fmt.Fprintf(w, "%s\n", t.notes)
+		return nil
+	}
+	fmt.Fprintf(w, "\n## %s: %s\n\n", e.name, e.desc)
+	if t.header != nil {
+		mdRow(w, t.header)
+		seps := make([]string, len(t.header))
+		for i := range seps {
+			seps[i] = "---"
+		}
+		mdRow(w, seps)
+		for _, r := range t.rows {
+			mdRow(w, r)
+		}
+		if t.notes != "" {
+			fmt.Fprintln(w)
+		}
+	}
+	if t.notes != "" {
+		fmt.Fprintf(w, "```\n%s```\n", t.notes)
+	}
+	return nil
 }
 
-func fig2() {
+func mdRow(w io.Writer, cells []string) {
+	fmt.Fprintf(w, "| %s |\n", strings.Join(cells, " | "))
+}
+
+func fig2() (table, error) {
 	var rows [][]string
 	for _, r := range core.Fig2() {
 		rows = append(rows, []string{
@@ -228,11 +278,10 @@ func fig2() {
 			fmt.Sprintf("%.3g", float64(r.PhysQubits)), r.Bandwidth.String(),
 		})
 	}
-	fmt.Print(core.FormatTable(
-		[]string{"shor-bits", "logical-qubits", "distance", "phys-qubits", "baseline-BW"}, rows))
+	return table{header: []string{"shor-bits", "logical-qubits", "distance", "phys-qubits", "baseline-BW"}, rows: rows}, nil
 }
 
-func fig6() {
+func fig6() (table, error) {
 	var rows [][]string
 	var bars []chart.Bar
 	for _, r := range core.Fig6() {
@@ -242,12 +291,13 @@ func fig6() {
 		})
 		bars = append(bars, chart.Bar{Label: r.Workload, Value: r.Ratio})
 	}
-	fmt.Print(core.FormatTable([]string{"workload", "qecc:logical", "orders", "qecc-share"}, rows))
-	fmt.Println()
-	fmt.Print(chart.MustRender(bars, chart.Options{Log: true, Unit: "x", Width: 44}))
+	return table{
+		header: []string{"workload", "qecc:logical", "orders", "qecc-share"}, rows: rows,
+		notes: chart.MustRender(bars, chart.Options{Log: true, Unit: "x", Width: 44}),
+	}, nil
 }
 
-func fig10() {
+func fig10() (table, error) {
 	var rows [][]string
 	for _, r := range core.Fig10() {
 		rows = append(rows, []string{
@@ -255,20 +305,20 @@ func fig10() {
 			strconv.Itoa(r.CellBits),
 		})
 	}
-	fmt.Print(core.FormatTable([]string{"qubits", "RAM-bits", "FIFO-bits", "unitcell-bits"}, rows))
+	return table{header: []string{"qubits", "RAM-bits", "FIFO-bits", "unitcell-bits"}, rows: rows}, nil
 }
 
-func fig11() {
+func fig11() (table, error) {
 	var rows [][]string
 	for _, r := range core.Fig11() {
 		rows = append(rows, []string{
 			r.Config.String(), strconv.Itoa(r.RAM), strconv.Itoa(r.FIFO), strconv.Itoa(r.UnitCell),
 		})
 	}
-	fmt.Print(core.FormatTable([]string{"memory config", "RAM", "FIFO", "unit-cell"}, rows))
+	return table{header: []string{"memory config", "RAM", "FIFO", "unit-cell"}, rows: rows}, nil
 }
 
-func fig13() {
+func fig13() (table, error) {
 	var rows [][]string
 	for _, r := range core.Fig13() {
 		rows = append(rows, []string{
@@ -276,31 +326,30 @@ func fig13() {
 			fmt.Sprintf("%.3g", r.Ratio), fmt.Sprintf("10^%.1f", r.Orders),
 		})
 	}
-	fmt.Print(core.FormatTable([]string{"workload", "distill-rounds", "t-factories", "tfactory:logical", "orders"}, rows))
+	return table{header: []string{"workload", "distill-rounds", "t-factories", "tfactory:logical", "orders"}, rows: rows}, nil
 }
 
-func fig14() {
+func fig14() (table, error) {
 	var rows [][]string
+	var bars []chart.Bar
 	for _, r := range core.Fig14() {
 		rows = append(rows, []string{
 			r.Workload, r.BaselineBW.String(), r.QuESTBW.String(), r.QuESTCacheBW.String(),
 			fmt.Sprintf("10^%.1f", r.OrdersQuEST), fmt.Sprintf("10^%.1f", r.OrdersCache),
 		})
+		bars = append(bars,
+			chart.Bar{Label: r.Workload + " quest", Value: r.SavingsQuEST},
+			chart.Bar{Label: r.Workload + " +cache", Value: r.SavingsCache})
 	}
-	fmt.Print(core.FormatTable(
-		[]string{"workload", "baseline", "quest", "quest+cache", "savings", "savings+cache"}, rows))
-	fmt.Println()
-	var bars []chart.Bar
-	for _, r := range core.Fig14() {
-		bars = append(bars, chart.Bar{Label: r.Workload + " quest", Value: r.SavingsQuEST})
-		bars = append(bars, chart.Bar{Label: r.Workload + " +cache", Value: r.SavingsCache})
-	}
-	fmt.Print(chart.MustRender(bars, chart.Options{Log: true, Unit: "x", Width: 44}))
-	fmt.Printf("coefficient of variation across tech/syndrome configs: %.5f%%\n",
-		100*core.Fig14CoefficientOfVariation())
+	return table{
+		header: []string{"workload", "baseline", "quest", "quest+cache", "savings", "savings+cache"}, rows: rows,
+		notes: chart.MustRender(bars, chart.Options{Log: true, Unit: "x", Width: 44}) +
+			fmt.Sprintf("coefficient of variation across tech/syndrome configs: %.5f%%\n",
+				100*core.Fig14CoefficientOfVariation()),
+	}, nil
 }
 
-func fig15() {
+func fig15() (table, error) {
 	var rows [][]string
 	for _, r := range core.Fig15() {
 		rows = append(rows, []string{
@@ -309,19 +358,18 @@ func fig15() {
 			fmt.Sprintf("%.3g", r.DistillOv),
 		})
 	}
-	fmt.Print(core.FormatTable(
-		[]string{"error-rate", "workload", "distance", "savings", "savings+cache", "distill-ov"}, rows))
+	return table{header: []string{"error-rate", "workload", "distance", "savings", "savings+cache", "distill-ov"}, rows: rows}, nil
 }
 
-func fig16() {
+func fig16() (table, error) {
 	var rows [][]string
 	for _, r := range core.Fig16() {
 		rows = append(rows, []string{r.Tech, r.Schedule, r.Config.String(), strconv.Itoa(r.Qubits)})
 	}
-	fmt.Print(core.FormatTable([]string{"technology", "syndrome", "memory config", "qubits/MCE"}, rows))
+	return table{header: []string{"technology", "syndrome", "memory config", "qubits/MCE"}, rows: rows}, nil
 }
 
-func table1() {
+func table1() (table, error) {
 	var rows [][]string
 	for _, t := range workload.Techs() {
 		rows = append(rows, []string{
@@ -331,10 +379,10 @@ func table1() {
 			fmt.Sprintf("%.0fns", t.TEcc),
 		})
 	}
-	fmt.Print(core.FormatTable([]string{"parameter set", "t_prep", "t_1", "t_meas", "t_CNOT", "T_ecc"}, rows))
+	return table{header: []string{"parameter set", "t_prep", "t_1", "t_meas", "t_CNOT", "T_ecc"}, rows: rows}, nil
 }
 
-func table2() {
+func table2() (table, error) {
 	var rows [][]string
 	for _, r := range core.Table2() {
 		rows = append(rows, []string{
@@ -342,10 +390,10 @@ func table2() {
 			strconv.Itoa(r.JJs), fmt.Sprintf("%.1f µW", r.PowerUW),
 		})
 	}
-	fmt.Print(core.FormatTable([]string{"syndrome", "no. instructions", "optimal µcode config", "no. JJs", "power"}, rows))
+	return table{header: []string{"syndrome", "no. instructions", "optimal µcode config", "no. JJs", "power"}, rows: rows}, nil
 }
 
-func concatExt() {
+func concatExt() (table, error) {
 	var rows [][]string
 	for _, r := range core.ExtConcat() {
 		rows = append(rows, []string{
@@ -354,27 +402,23 @@ func concatExt() {
 			fmt.Sprintf("%.3g", r.Savings),
 		})
 	}
-	fmt.Print(core.FormatTable(
-		[]string{"outer-levels", "inner-qubits", "logical-error", "outer-instrs/round", "hybrid-savings"}, rows))
+	return table{header: []string{"outer-levels", "inner-qubits", "logical-error", "outer-instrs/round", "hybrid-savings"}, rows: rows}, nil
 }
 
-func dramExt() {
+func dramExt() (table, error) {
 	var rows [][]string
 	for _, r := range core.ExtDRAM() {
 		rows = append(rows, []string{
 			r.Workload, strconv.Itoa(r.BaselineChannels), fmt.Sprintf("%.2e", r.QuESTUtilization),
 		})
 	}
-	fmt.Print(core.FormatTable(
-		[]string{"workload", "baseline DDR channels needed", "QuEST channel utilization"}, rows))
+	return table{header: []string{"workload", "baseline DDR channels needed", "QuEST channel utilization"}, rows: rows}, nil
 }
 
-func threshold() {
+func threshold() (table, error) {
 	trows, err := core.Threshold([]float64{2e-3, 1e-3, 5e-4}, []int{3, 5}, trialsOr(200), *flagWorkers, sweep)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "threshold experiment failed:", err)
-		obs.Finish()
-		os.Exit(1)
+		return table{}, err
 	}
 	var rows [][]string
 	for _, r := range trows {
@@ -384,17 +428,15 @@ func threshold() {
 			fmt.Sprintf("[%.4f, %.4f]", r.WilsonLo, r.WilsonHi), strconv.Itoa(r.Trials),
 		})
 	}
-	fmt.Print(core.FormatTable([]string{"phys-rate", "distance", "logical-fail", "95% CI", "trials"}, rows))
+	return table{header: []string{"phys-rate", "distance", "logical-fail", "95% CI", "trials"}, rows: rows}, nil
 }
 
-func memory() {
+func memory() (table, error) {
 	var rows [][]string
 	for _, p := range []float64{0, 1e-4, 5e-4} {
 		r, ran, err := core.MachineMemory(p, 8, trialsOr(40), *flagWorkers, sweep)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "memory experiment failed:", err)
-			obs.Finish()
-			os.Exit(1)
+			return table{}, err
 		}
 		if !ran {
 			continue
@@ -405,10 +447,10 @@ func memory() {
 			fmt.Sprintf("[%.3f, %.3f]", r.WilsonLo, r.WilsonHi), strconv.Itoa(r.Trials),
 		})
 	}
-	fmt.Print(core.FormatTable([]string{"phys-rate", "rounds", "logical-fail", "95% CI", "trials"}, rows))
+	return table{header: []string{"phys-rate", "rounds", "logical-fail", "95% CI", "trials"}, rows: rows}, nil
 }
 
-func syndrome() {
+func syndrome() (table, error) {
 	var rows [][]string
 	for _, r := range core.ExtSyndromeTraffic([]float64{0, 1e-4, 1e-3}, 200) {
 		rows = append(rows, []string{
@@ -416,17 +458,19 @@ func syndrome() {
 			strconv.FormatUint(r.InstructionBytes, 10), strconv.FormatUint(r.SyndromeBytes, 10),
 		})
 	}
-	fmt.Print(core.FormatTable([]string{"phys-rate", "cycles", "instr-bytes (down)", "syndrome-bytes (up)"}, rows))
+	return table{header: []string{"phys-rate", "cycles", "instr-bytes (down)", "syndrome-bytes (up)"}, rows: rows}, nil
 }
 
-func machine() {
+func machine() (table, error) {
 	res, err := core.MachineDemo(50)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "machine demo failed:", err)
-		os.Exit(1)
+		return table{}, err
 	}
-	fmt.Printf("distillation body: %d logical instructions, replayed 50x from the MCE cache\n", core.RoundInstrs())
-	fmt.Printf("cycles: %d   logical retired: %d\n", res.Cycles, res.LogicalRetired)
-	fmt.Printf("baseline bus: %d bytes   QuEST bus: %d bytes\n", res.BaselineBusBytes, res.QuESTBusBytes)
-	fmt.Printf("measured savings: %.0fx\n", res.MeasuredSavings)
+	return table{notes: fmt.Sprintf(
+		"distillation body: %d logical instructions, replayed 50x from the MCE cache\n"+
+			"cycles: %d   logical retired: %d\n"+
+			"baseline bus: %d bytes   QuEST bus: %d bytes\n"+
+			"measured savings: %.0fx\n",
+		core.RoundInstrs(), res.Cycles, res.LogicalRetired,
+		res.BaselineBusBytes, res.QuESTBusBytes, res.MeasuredSavings)}, nil
 }

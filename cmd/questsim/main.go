@@ -50,7 +50,6 @@ import (
 
 	"quest"
 	"quest/internal/awg"
-	"quest/internal/core"
 	"quest/internal/ledger"
 	"quest/internal/mc"
 	"quest/internal/microcode"
@@ -190,7 +189,6 @@ func main() {
 			fmt.Printf("  tile %d wall clock:    %.3f µs (%s gate latencies)\n", i, ns/1e3, *tech)
 		}
 	}
-	_ = core.RoundInstrs
 }
 
 // writeRunLedger records the single simulation as a one-cell ledger (when
@@ -253,11 +251,4 @@ func buildProgram(name string, patches int) *quest.Program {
 		log.Fatalf("unknown program %q (want bell, ghz, distill, paulis)", name)
 	}
 	return p
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,7 +2,7 @@
 // from inside a normal binary (cmd/questbench -bench-json) and renders the
 // results as a stable, schema-versioned JSON report. CI runs the suite on
 // every push and tools/benchdiff compares the report against the committed
-// baseline (BENCH_PR2.json at the repo root), so a decoder or machine-loop
+// baseline (BENCH_PR6.json at the repo root), so a decoder or machine-loop
 // regression shows up as a failed check instead of a surprise in the next
 // paper-scale sweep.
 //

@@ -451,24 +451,3 @@ func TestSyndromeTrafficScalesWithNoise(t *testing.T) {
 			rows[1].SyndromeBytes, rows[2].SyndromeBytes)
 	}
 }
-
-func TestMarkdownReport(t *testing.T) {
-	md := MarkdownReport(0, 0)
-	for _, frag := range []string{
-		"## Figure 2", "## Figure 6", "## Figure 10", "## Figure 11",
-		"## Figure 13", "## Figure 14", "## Figure 15", "## Figure 16",
-		"## Table 1", "## Table 2", "## Extensions", "measured savings",
-		"| SHOR-1024 |", "4 Channel = 1Kb x 4", "2420ns",
-	} {
-		if !strings.Contains(md, frag) {
-			t.Errorf("report missing %q", frag)
-		}
-	}
-	if strings.Contains(md, "Validation — logical failure") {
-		t.Error("statistical section present at statTrials=0")
-	}
-	withStats := MarkdownReport(20, 0)
-	if !strings.Contains(withStats, "Validation — logical failure") {
-		t.Error("statistical section missing at statTrials=20")
-	}
-}

@@ -150,11 +150,6 @@ func (ma *Machine) Master() *master.Master { return ma.m }
 // this: per-trial cost drops from full machine construction to a reset.
 // Panics for NoC-routed machines, whose mesh has no drain guarantee.
 func (ma *Machine) Reset(seed int64, reg *metrics.Registry, tr *tracing.Tracer, heat *heatmap.Set, bw *bwprofile.Recorder) {
-	ma.cfg.Seed = seed
-	ma.cfg.Metrics = reg
-	ma.cfg.Tracer = tr
-	ma.cfg.Heat = heat
-	ma.cfg.BW = bw
 	for i, t := range ma.m.Tiles() {
 		t.Reset(seed+int64(i), reg, tr, heat, bw)
 	}

@@ -272,11 +272,6 @@ func (m *MCE) Reset(seed int64, reg *metrics.Registry, tr *tracing.Tracer, heat 
 	if tr == nil {
 		tr = tracing.Default
 	}
-	m.cfg.Seed = seed
-	m.cfg.Metrics = reg
-	m.cfg.Tracer = tr
-	m.cfg.Heat = heat
-	m.cfg.BW = bw
 	lat := m.cfg.Layout.Lat
 
 	m.tableau.SetRNG(rand.New(rand.NewSource(seed)))

@@ -2,10 +2,10 @@ package tracing
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 )
 
 // CanonicalSort orders events by every field — (Proc, Tid, Ts, Dur, Ph,
@@ -88,7 +88,7 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	seen := map[track]bool{}
 	for _, p := range procs {
 		emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%s}}`,
-			pid[p], strconv.Quote(p)))
+			pid[p], jsonString(p)))
 	}
 	for _, ev := range evs {
 		k := track{ev.Proc, ev.Tid}
@@ -97,26 +97,33 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		}
 		seen[k] = true
 		emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
-			pid[ev.Proc], ev.Tid, strconv.Quote(fmt.Sprintf("%s %d", ev.Proc, ev.Tid))))
+			pid[ev.Proc], ev.Tid, jsonString(fmt.Sprintf("%s %d", ev.Proc, ev.Tid))))
 	}
 	for _, ev := range evs {
 		args := ""
 		if ev.ArgKey != "" {
-			args = fmt.Sprintf(`,"args":{%s:%d}`, strconv.Quote(ev.ArgKey), ev.Arg)
+			args = fmt.Sprintf(`,"args":{%s:%d}`, jsonString(ev.ArgKey), ev.Arg)
 		}
 		switch ev.Ph {
 		case PhaseSpan:
 			emit(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"ts":%d,"dur":%d,"name":%s,"cat":%s%s}`,
-				pid[ev.Proc], ev.Tid, ev.Ts, ev.Dur, strconv.Quote(ev.Name), strconv.Quote(ev.Proc), args))
+				pid[ev.Proc], ev.Tid, ev.Ts, ev.Dur, jsonString(ev.Name), jsonString(ev.Proc), args))
 		default:
 			emit(fmt.Sprintf(`{"ph":"i","pid":%d,"tid":%d,"ts":%d,"s":"t","name":%s,"cat":%s%s}`,
-				pid[ev.Proc], ev.Tid, ev.Ts, strconv.Quote(ev.Name), strconv.Quote(ev.Proc), args))
+				pid[ev.Proc], ev.Tid, ev.Ts, jsonString(ev.Name), jsonString(ev.Proc), args))
 		}
 	}
 	if _, err := bw.WriteString("\n]}\n"); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// jsonString quotes s as a JSON string. strconv.Quote is not a substitute:
+// its \x and \a escapes for control bytes and invalid UTF-8 are not JSON.
+func jsonString(s string) string {
+	b, _ := json.Marshal(s) // a string always marshals
+	return string(b)
 }
 
 // TrackSummary is one track's digest in Summarize.
