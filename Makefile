@@ -200,6 +200,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEventsParse -fuzztime 30s -fuzzminimizetime 1x ./internal/events/
 	$(GO) test -run '^$$' -fuzz FuzzBWParse -fuzztime 30s -fuzzminimizetime 1x ./internal/bwprofile/
 	$(GO) test -run '^$$' -fuzz FuzzTraceValidate -fuzztime 30s -fuzzminimizetime 1x ./internal/tracing/
+	$(GO) test -run '^$$' -fuzz FuzzReadReport -fuzztime 30s -fuzzminimizetime 1x ./internal/benchsuite/
 
 # Remove only *untracked* files under the fuzz corpora directories (fuzzing
 # drops new inputs there) plus build artifacts. An earlier version ran
@@ -208,6 +209,6 @@ fuzz:
 clean:
 	git clean -fdx internal/qasm/testdata internal/qexe/testdata internal/clifford/testdata \
 		internal/ledger/testdata internal/events/testdata internal/bwprofile/testdata \
-		internal/tracing/testdata
+		internal/tracing/testdata internal/benchsuite/testdata
 	rm -f ledger-shard-*.jsonl events-shard-*.jsonl bw-smoke-*.jsonl
 	$(GO) clean ./...

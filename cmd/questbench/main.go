@@ -160,13 +160,8 @@ func main() {
 		os.Exit(2)
 	}
 	sweep = core.SweepObs{
-		// The registry Monte-Carlo workers merge their shards into:
-		// Default when -metrics, -pprof or -events wants it, else nil.
-		Metrics:  obs.ShardReg(),
-		Tracer:   obs.Tracer(),
+		Probes:   obs.Probes(),
 		Ledger:   lw,
-		Heat:     obs.HeatSet(),
-		BW:       obs.BW(),
 		CIWidth:  obs.CIStop(),
 		Progress: obs.SweepProgress(),
 		Shard:    shard,

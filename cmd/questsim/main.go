@@ -127,8 +127,7 @@ func main() {
 	default:
 		log.Fatalf("unknown tech %q", *tech)
 	}
-	cfg.Heat = obs.HeatSet()
-	cfg.BW = obs.BW()
+	cfg.Probes = obs.Probes()
 	m := quest.NewMachine(cfg)
 
 	var rep quest.RunReport

@@ -17,6 +17,7 @@ package benchsuite
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -29,6 +30,7 @@ import (
 	"quest/internal/mc"
 	"quest/internal/metrics"
 	"quest/internal/noise"
+	"quest/internal/probe"
 	"quest/internal/surface"
 )
 
@@ -96,12 +98,12 @@ func zDefects(lat surface.Lattice, n int) []decoder.Defect {
 // metrics section reflects exactly the suite's work, not whatever else the
 // process did); reg must be non-nil.
 func Cases(reg *metrics.Registry) []Case {
-	in := decoder.NewInstr(reg)
+	bind := decoder.Binding{Instr: decoder.NewInstr(reg)}
 	return []Case{
 		{"decoder-exact-match-10", func(b *testing.B) {
 			lat := surface.NewPlanar(9)
 			g := decoder.NewGlobalDecoder(lat)
-			g.SetInstr(in)
+			g.Bind(bind)
 			defects := zDefects(lat, 10)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -111,7 +113,7 @@ func Cases(reg *metrics.Registry) []Case {
 		{"decoder-greedy-match-24", func(b *testing.B) {
 			lat := surface.NewPlanar(11)
 			g := decoder.NewGlobalDecoder(lat)
-			g.SetInstr(in)
+			g.Bind(bind)
 			defects := zDefects(lat, 24) // above MaxExact: greedy path
 			if len(defects) <= g.MaxExact {
 				b.Fatalf("case misconfigured: %d defects within exact range %d",
@@ -126,7 +128,7 @@ func Cases(reg *metrics.Registry) []Case {
 			lat := surface.NewPlanar(5)
 			ld := decoder.NewLocalDecoder(lat)
 			gd := decoder.NewGlobalDecoder(lat)
-			gd.SetInstr(in)
+			gd.Bind(bind)
 			frame := decoder.NewPauliFrame()
 			defects := zDefects(lat, 2)
 			b.ReportAllocs()
@@ -137,7 +139,7 @@ func Cases(reg *metrics.Registry) []Case {
 		{"decoder-window-flush", func(b *testing.B) {
 			lat := surface.NewPlanar(7)
 			win := decoder.NewWindowDecoder(decoder.NewGlobalDecoder(lat), 7)
-			win.SetInstr(in)
+			win.Bind(bind)
 			frame := decoder.NewPauliFrame()
 			round := zDefects(lat, 4)
 			b.ReportAllocs()
@@ -173,14 +175,14 @@ func Cases(reg *metrics.Registry) []Case {
 			// that core.Threshold runs.
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				core.Threshold([]float64{1e-3}, []int{3}, 4, 1, core.SweepObs{Metrics: reg})
+				core.Threshold([]float64{1e-3}, []int{3}, 4, 1, core.SweepObs{Probes: probe.Probes{Metrics: reg}})
 			}
 		}},
 		{"threshold-cell-d5-batched", func(b *testing.B) {
 			// A d=5 cell: how the per-lane cost scales with distance.
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				core.Threshold([]float64{1e-3}, []int{5}, 4, 1, core.SweepObs{Metrics: reg})
+				core.Threshold([]float64{1e-3}, []int{5}, 4, 1, core.SweepObs{Probes: probe.Probes{Metrics: reg}})
 			}
 		}},
 		{"events-off-observe", func(b *testing.B) {
@@ -273,11 +275,15 @@ func (r Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// ReadReport parses a report and checks its schema.
+// ReadReport parses a report and checks its schema: a report without one,
+// or with another layout's, is refused rather than compared field by field.
 func ReadReport(data []byte) (Report, error) {
 	var r Report
 	if err := json.Unmarshal(data, &r); err != nil {
 		return Report{}, err
+	}
+	if r.Schema != Schema {
+		return Report{}, fmt.Errorf("benchsuite: report schema %q, want %q", r.Schema, Schema)
 	}
 	return r, nil
 }

@@ -83,3 +83,43 @@ func TestBWOffObserveZeroAllocs(t *testing.T) {
 	}
 	t.Fatal("suite is missing the bw-off-observe case")
 }
+
+// FuzzReadReport feeds ReadReport arbitrary bytes, seeded from WriteJSON
+// output: it must never panic, must accept what the writer produces, and
+// must refuse any report whose schema is not Schema.
+func FuzzReadReport(f *testing.F) {
+	rep := Report{Schema: Schema, GoVersion: "go1.24.0", GOMAXPROCS: 2, NumCPU: 2, Benchtime: "1x",
+		Results: []Result{{Name: "decoder-exact-match-10", Iterations: 3, NsPerOp: 1.5e4, AllocsPerOp: 5, BytesPerOp: 640}}}
+	reg := metrics.New()
+	reg.Counter("decoder.match.calls").Add(3)
+	reg.Histogram("decoder.match.ns", nil).Observe(1.5e4)
+	rep.Metrics = reg.Snapshot()
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	var empty bytes.Buffer
+	if err := (Report{Schema: Schema}).WriteJSON(&empty); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty.Bytes())
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"schema":"quest-bench/0"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := ReadReport(data)
+		if err != nil {
+			return
+		}
+		if r.Schema != Schema {
+			t.Fatalf("accepted schema %q", r.Schema)
+		}
+		var out bytes.Buffer
+		if err := r.WriteJSON(&out); err != nil {
+			t.Fatalf("WriteJSON of an accepted report: %v", err)
+		}
+		if _, err := ReadReport(out.Bytes()); err != nil {
+			t.Fatalf("writer output refused: %v\n%s", err, out.Bytes())
+		}
+	})
+}

@@ -258,9 +258,7 @@ func (tp *thresholdProgram) runLane(p float64, seeds []uint64, ctx mc.BatchCtx, 
 		}
 		s.win.Reset()
 		s.frame.Reset()
-		s.win.SetInstr(instr) // nil restores the default, like the scalar unwired path
-		s.win.SetTracer(ctx.Trace, 0)
-		s.win.SetHeat(heat)
+		s.win.Bind(decoder.Binding{Instr: instr, Tracer: ctx.Trace, Heat: heat}) // nil Instr restores the default
 		for r := 1; r <= d+1; r++ {
 			defs := s.defects[:0]
 			row, prev := r*n, (r-1)*n

@@ -14,6 +14,7 @@ import (
 	"quest/internal/mc"
 	"quest/internal/metrics"
 	"quest/internal/noise"
+	"quest/internal/probe"
 	"quest/internal/surface"
 	"quest/internal/tracing"
 )
@@ -46,14 +47,15 @@ func scalarThreshold(d int, p float64) cellEngine {
 			hist := decoder.NewHistory(lat)
 			frame := decoder.NewPauliFrame()
 			win := decoder.NewWindowDecoder(decoder.NewGlobalDecoder(lat), d)
+			b := decoder.Binding{Tracer: ctx.Trace}
 			if ctx.Shard != nil {
-				win.SetInstr(decoder.NewInstr(ctx.Shard))
+				b.Instr = decoder.NewInstr(ctx.Shard)
 			}
-			win.SetTracer(ctx.Trace, 0)
 			if ctx.Heat != nil {
 				hist.SetHeat(ctx.Heat[0])
-				win.SetHeat(ctx.Heat[0])
+				b.Heat = ctx.Heat[0]
 			}
+			win.Bind(b)
 			run(clean)
 			hist.Absorb(run(clean))
 			// d noisy rounds: the window decoder is d rounds deep, so fewer
@@ -84,7 +86,7 @@ func engineSweep(t *testing.T, batched bool, workers, trials int, ciWidth float6
 	}
 	heat := heatmap.NewSet()
 	tr := tracing.New(1 << 16)
-	obs := SweepObs{Tracer: tr, Ledger: lw, Heat: heat, CIWidth: ciWidth}
+	obs := SweepObs{Probes: probe.Probes{Tracer: tr, Heat: heat}, Ledger: lw, CIWidth: ciWidth}
 	engine := scalarThreshold
 	if batched {
 		engine = batchedThreshold
@@ -176,7 +178,7 @@ func TestThresholdRoundsTrackDistance(t *testing.T) {
 			if batched {
 				engine = batchedThreshold
 			}
-			_, _ = thresholdSweep([]float64{2e-3}, []int{d}, 1, 1, SweepObs{Metrics: reg}, engine)
+			_, _ = thresholdSweep([]float64{2e-3}, []int{d}, 1, 1, SweepObs{Probes: probe.Probes{Metrics: reg}}, engine)
 			got := reg.Counter("decoder.window.rounds").Value()
 			want := uint64(d + 1) // d noisy rounds + the final clean round
 			if got != want {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"quest/internal/metrics"
+	"quest/internal/probe"
 )
 
 // TestThresholdWorkerCountInvariant is the engine's core guarantee: the
@@ -84,12 +85,12 @@ func TestMetricsObservationDoesNotPerturbResults(t *testing.T) {
 	distances := []int{3}
 	off, _ := Threshold(rates, distances, 60, 2, SweepObs{})
 	reg := metrics.New()
-	on, _ := Threshold(rates, distances, 60, 2, SweepObs{Metrics: reg})
+	on, _ := Threshold(rates, distances, 60, 2, SweepObs{Probes: probe.Probes{Metrics: reg}})
 	if !reflect.DeepEqual(off, on) {
 		t.Errorf("threshold rows differ with metrics on:\n off: %+v\n on:  %+v", off, on)
 	}
 	reg2 := metrics.New()
-	onPar, _ := Threshold(rates, distances, 60, 8, SweepObs{Metrics: reg2})
+	onPar, _ := Threshold(rates, distances, 60, 8, SweepObs{Probes: probe.Probes{Metrics: reg2}})
 	if !reflect.DeepEqual(off, onPar) {
 		t.Errorf("threshold rows differ with metrics on at workers=8:\n off: %+v\n on:  %+v", off, onPar)
 	}
@@ -118,7 +119,7 @@ func TestMachineMemoryMetricsInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.New()
-	on, _, err := MachineMemory(5e-4, 4, 12, 3, SweepObs{Metrics: reg})
+	on, _, err := MachineMemory(5e-4, 4, 12, 3, SweepObs{Probes: probe.Probes{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,5 +131,34 @@ func TestMachineMemoryMetricsInvariant(t *testing.T) {
 	}
 	if reg.Counter("master.dispatched").Value() == 0 {
 		t.Error("master.dispatched = 0 — master path not recording into shards")
+	}
+}
+
+// TestMachineDecodersFollowRegistry: the global decoders a machine builds
+// record into the machine's registry, like every other component — at a
+// rate where global decodes happen, the private registry sees the matchings,
+// the count is worker-count independent, and metrics.Default does not move.
+func TestMachineDecodersFollowRegistry(t *testing.T) {
+	const p, rounds, trials = 5e-3, 4, 50
+	before := metrics.Default.Counter("decoder.match.calls").Value()
+	var calls [2]uint64
+	for i, workers := range []int{1, 3} {
+		reg := metrics.New()
+		if _, _, err := MachineMemory(p, rounds, trials, workers, SweepObs{Probes: probe.Probes{Metrics: reg}}); err != nil {
+			t.Fatal(err)
+		}
+		if reg.Counter("master.global.decodes").Value() == 0 {
+			t.Fatal("master.global.decodes = 0 — no global decode to observe; raise the rate")
+		}
+		calls[i] = reg.Counter("decoder.match.calls").Value()
+	}
+	if calls[0] == 0 {
+		t.Error("decoder.match.calls = 0 in the machine's registry — decoders not bound to it")
+	}
+	if calls[0] != calls[1] {
+		t.Errorf("decoder.match.calls differ across worker counts: %d vs %d", calls[0], calls[1])
+	}
+	if after := metrics.Default.Counter("decoder.match.calls").Value(); after != before {
+		t.Errorf("metrics.Default gained %d decoder.match.calls from machines bound to a private registry", after-before)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"quest/internal/mc"
 	"quest/internal/microcode"
 	"quest/internal/noise"
+	"quest/internal/probe"
 	"quest/internal/surface"
 	"quest/internal/workload"
 )
@@ -596,19 +597,17 @@ func (mt *memoryTrial) run(trial int, seed uint64, ctx mc.BatchCtx) mc.Outcome {
 	if heat != nil {
 		hs = heatmap.NewSet()
 	}
+	probes := probe.Probes{Metrics: ctx.Shard, Tracer: ctx.Trace, Heat: hs, BW: bw}
 	var m *Machine
 	if v := mt.pool.Get(); v != nil {
 		m = v.(*Machine)
-		m.Reset(int64(seed), ctx.Shard, ctx.Trace, hs, bw)
+		m.reset(int64(seed), probes)
 	} else {
 		cfg := DefaultMachineConfig()
 		cfg.PatchesPerTile = 1
 		cfg.Seed = int64(seed)
 		cfg.DecodeWindow = cfg.Distance
-		cfg.Metrics = ctx.Shard
-		cfg.Tracer = ctx.Trace
-		cfg.Heat = hs
-		cfg.BW = bw
+		cfg.Probes = probes
 		if mt.physRate > 0 {
 			nm := noise.Uniform(mt.physRate)
 			cfg.Noise = &nm

@@ -27,6 +27,7 @@ import (
 	"quest/internal/metrics"
 	"quest/internal/microcode"
 	"quest/internal/noise"
+	"quest/internal/probe"
 	"quest/internal/qexe"
 	"quest/internal/surface"
 	"quest/internal/tracing"
@@ -54,24 +55,11 @@ type MachineConfig struct {
 	DecodeWindow int
 	// UseUnionFind selects the union-find global matcher.
 	UseUnionFind bool
-	// Metrics selects the registry every component of this machine records
-	// into (nil = metrics.Default). Monte-Carlo trials pass per-worker
-	// shards so parallel machines never contend on shared instruments.
-	Metrics *metrics.Registry
-	// Tracer records cycle-correlated pipeline events across the master, the
-	// MCE tiles, the decoders and the network for Perfetto export (nil =
-	// tracing.Default, which is nil — tracing off — unless -trace set it).
-	Tracer *tracing.Tracer
-	// Heat, when non-nil, collects spatial decode statistics machine-wide:
-	// defect births (MCE syndrome histories) and matched-chain footprints
-	// (master global decoders), one collector per lattice shape. Nil — the
-	// default — keeps every decode path allocation-free.
-	Heat *heatmap.Set
-	// BW, when non-nil, profiles the instruction bandwidth cycle-by-cycle:
-	// the master meters every bus dispatch and the MCEs meter cache replays
-	// into windowed per-class counts for the quest-bw/1 artifact. Nil — the
-	// default — keeps the dispatch paths allocation-free.
-	BW *bwprofile.Recorder
+	// Probes are the observers every component of this machine binds: the
+	// MCE tiles, the master, its global decoders and decode windows, and the
+	// network. Monte-Carlo trials pass per-worker metrics shards and
+	// per-trial heat and bandwidth shards.
+	probe.Probes
 }
 
 // DefaultMachineConfig returns a small but fully functional machine: one
@@ -113,11 +101,8 @@ func NewMachine(cfg MachineConfig) *Machine {
 			Seed:       cfg.Seed + int64(i),
 			CacheSlots: cfg.CacheSlots,
 			Timing:     cfg.Timing,
-			Metrics:    cfg.Metrics,
-			Tracer:     cfg.Tracer,
 			TileID:     i,
-			Heat:       cfg.Heat,
-			BW:         cfg.BW,
+			Probes:     cfg.Probes,
 		}))
 	}
 	return &Machine{
@@ -129,10 +114,7 @@ func NewMachine(cfg MachineConfig) *Machine {
 			UseNoC:          cfg.UseNoC,
 			DecodeWindow:    cfg.DecodeWindow,
 			UseUnionFind:    cfg.UseUnionFind,
-			Metrics:         cfg.Metrics,
-			Tracer:          cfg.Tracer,
-			Heat:            cfg.Heat,
-			BW:              cfg.BW,
+			Probes:          cfg.Probes,
 		}, tiles),
 	}
 }
@@ -141,19 +123,25 @@ func NewMachine(cfg MachineConfig) *Machine {
 func (ma *Machine) Master() *master.Master { return ma.m }
 
 // Reset rewinds the machine to the state NewMachine built, with a new base
-// seed and freshly bound observation hooks. All trial-independent structure
+// seed and freshly bound observers. All trial-independent structure
 // (microcode stores, decoder lookup tables, tableau storage, layouts) is
 // kept; every piece of mutable state — substrate, masks, frames, queues,
-// factories, counters — is restored, so a Reset machine is observationally
+// factories, counters — is restored through the same per-component Reset
+// that construction ends in, so a Reset machine is observationally
 // identical to NewMachine with the same config (pinned by
 // TestMachineResetMatchesFresh). Monte-Carlo trial bodies pool machines on
 // this: per-trial cost drops from full machine construction to a reset.
 // Panics for NoC-routed machines, whose mesh has no drain guarantee.
 func (ma *Machine) Reset(seed int64, reg *metrics.Registry, tr *tracing.Tracer, heat *heatmap.Set, bw *bwprofile.Recorder) {
+	ma.reset(seed, probe.Probes{Metrics: reg, Tracer: tr, Heat: heat, BW: bw})
+}
+
+// reset is Reset with the observers as one bundle.
+func (ma *Machine) reset(seed int64, p probe.Probes) {
 	for i, t := range ma.m.Tiles() {
-		t.Reset(seed+int64(i), reg, tr, heat, bw)
+		t.Reset(seed+int64(i), p)
 	}
-	ma.m.Reset(reg, tr, heat, bw)
+	ma.m.Reset(p)
 }
 
 // tileFor maps a program's logical qubit to (tile, patch-within-tile).

@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 
-	"quest/internal/bwprofile"
 	"quest/internal/heatmap"
 	"quest/internal/ledger"
 	"quest/internal/mc"
-	"quest/internal/metrics"
-	"quest/internal/tracing"
+	"quest/internal/probe"
 )
 
 // Shard deterministically partitions a sweep's cells across Count
@@ -62,25 +60,18 @@ func (s *Shard) claim() bool {
 // Progress stream and the wall-clock gauges reflect live completion order —
 // they are display, not data.
 type SweepObs struct {
-	// Metrics aggregates trial instrumentation from per-worker shards. Nil
-	// skips instrumentation (and keeps the trial paths allocation-free).
-	Metrics *metrics.Registry
-	// Tracer merges per-worker trace shards of every trial. Nil disables
-	// tracing.
-	Tracer *tracing.Tracer
+	// Probes are the sweep's observers. Metrics aggregates the per-worker
+	// shards of trial instrumentation; Tracer merges the per-worker trace
+	// shards of every trial; Heat accumulates defect-birth and
+	// matched-chain statistics; BW accumulates cycle-windowed
+	// instruction-bandwidth samples from every trial machine's master/MCE
+	// buses. Heat and BW shards are per-trial and merged in trial order, so
+	// the heatmap and quest-bw/1 bytes are worker-count independent like the
+	// ledger. See probe.Probes for what nil means.
+	probe.Probes
 	// Ledger receives one sampled record per trial and one summary per
 	// sweep cell. Nil disables the ledger.
 	Ledger *ledger.Writer
-	// Heat accumulates defect-birth and matched-chain statistics, one
-	// collector per lattice shape. Nil disables collection (and keeps the
-	// decode paths allocation-free).
-	Heat *heatmap.Set
-	// BW accumulates cycle-windowed instruction-bandwidth samples from every
-	// trial machine's master/MCE buses. Nil disables profiling (and keeps
-	// the dispatch paths allocation-free). Shards are per-trial and merged
-	// in trial order, so the quest-bw/1 waveform is worker-count
-	// independent like the ledger and heatmaps.
-	BW *bwprofile.Recorder
 	// CIWidth > 0 stops each cell at the first trial-ordered prefix whose
 	// 95% Wilson interval is narrower than this (see mc.Observers.CIWidth);
 	// MinTrials floors the rule (0 = the engine default).
@@ -194,7 +185,8 @@ func (s SweepObs) beginCell(name string, cellSeed uint64, budget int) (cellPlan,
 
 // observers assembles the engine-level hooks for one named sweep cell.
 func (s SweepObs) observers(cell string, heat *heatmap.Collector) mc.Observers {
-	obs := mc.Observers{CIWidth: s.CIWidth, MinTrials: s.MinTrials, Heat: heat, BW: s.BW}
+	obs := mc.Observers{Metrics: s.Metrics, Tracer: s.Tracer, CIWidth: s.CIWidth, MinTrials: s.MinTrials,
+		Heat: heat, BW: s.BW}
 	if s.Progress != nil {
 		progress := s.Progress
 		obs.Progress = func(p mc.Progress) { progress(cell, p) }
@@ -286,6 +278,6 @@ func (s SweepObs) runCell(name string, cellSeed uint64, params map[string]float6
 	e := engine()
 	obs := s.observers(name, s.collector(e.rows, e.cols))
 	obs.Prior = plan.prior
-	res = mc.Run(trials, workers, e.lane, cellSeed, s.Metrics, s.Tracer, obs, e.fn)
+	res = mc.Run(trials, workers, e.lane, cellSeed, obs, e.fn)
 	return res, true, s.closeCell(name, params, cellSeed, trials, res)
 }

@@ -12,6 +12,7 @@ import (
 	"quest/internal/ledger"
 	"quest/internal/mc"
 	"quest/internal/metrics"
+	"quest/internal/probe"
 )
 
 // observedThreshold runs a small observed threshold sweep and returns the
@@ -26,7 +27,7 @@ func observedThreshold(t *testing.T, workers int, ciWidth float64, trials int) (
 	}
 	heat := heatmap.NewSet()
 	rows, err := Threshold([]float64{2e-3, 4e-3}, []int{3}, trials, workers,
-		SweepObs{Ledger: lw, Heat: heat, CIWidth: ciWidth})
+		SweepObs{Probes: probe.Probes{Heat: heat}, Ledger: lw, CIWidth: ciWidth})
 	if err != nil {
 		t.Fatalf("Threshold: %v", err)
 	}
@@ -97,7 +98,7 @@ func TestThresholdObservedCIStopSavesTrials(t *testing.T) {
 // the lattice's shape.
 func TestThresholdObservedHeatContent(t *testing.T) {
 	heat := heatmap.NewSet()
-	_, _ = Threshold([]float64{4e-3}, []int{5}, 40, 4, SweepObs{Heat: heat})
+	_, _ = Threshold([]float64{4e-3}, []int{5}, 40, 4, SweepObs{Probes: probe.Probes{Heat: heat}})
 	names := heat.Names()
 	if len(names) != 1 {
 		t.Fatalf("heat set has grids %v, want exactly one", names)
@@ -147,7 +148,7 @@ func TestMachineMemoryObservedDeterminism(t *testing.T) {
 		}
 		heat := heatmap.NewSet()
 		row, ran, err := MachineMemory(2e-3, 6, 10, workers,
-			SweepObs{Ledger: lw, Heat: heat})
+			SweepObs{Probes: probe.Probes{Heat: heat}, Ledger: lw})
 		if err != nil {
 			t.Fatalf("MachineMemory: %v", err)
 		}
@@ -192,7 +193,7 @@ func TestThresholdObservedEventsPureSideband(t *testing.T) {
 			t.Fatalf("NewWriter: %v", err)
 		}
 		heat := heatmap.NewSet()
-		obs := SweepObs{Ledger: lw, Heat: heat, CIWidth: 0.15}
+		obs := SweepObs{Probes: probe.Probes{Heat: heat}, Ledger: lw, CIWidth: 0.15}
 		var evbuf bytes.Buffer
 		var smp *events.Sampler
 		if withEvents {
@@ -308,7 +309,7 @@ func TestMachineMemoryBWPureSideband(t *testing.T) {
 			t.Fatalf("NewWriter: %v", err)
 		}
 		heat := heatmap.NewSet()
-		obs := SweepObs{Ledger: lw, Heat: heat}
+		obs := SweepObs{Probes: probe.Probes{Heat: heat}, Ledger: lw}
 		var bw *bwprofile.Recorder
 		if withBW {
 			bw = bwprofile.New(8)

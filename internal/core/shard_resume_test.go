@@ -8,6 +8,7 @@ import (
 
 	"quest/internal/ledger"
 	"quest/internal/metrics"
+	"quest/internal/probe"
 )
 
 // shardedSweep runs the combined threshold+memory sweep (2 threshold cells
@@ -101,7 +102,7 @@ func thresholdResumeRun(t *testing.T, trials int, ciWidth float64, res *ledger.R
 	}
 	reg := metrics.New()
 	rows, err := Threshold([]float64{2e-3, 4e-3}, []int{3}, trials, 4,
-		SweepObs{Metrics: reg, Ledger: lw, CIWidth: ciWidth, Resume: res})
+		SweepObs{Probes: probe.Probes{Metrics: reg}, Ledger: lw, CIWidth: ciWidth, Resume: res})
 	if err != nil {
 		t.Fatalf("Threshold: %v", err)
 	}

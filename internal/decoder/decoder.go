@@ -410,7 +410,7 @@ type GlobalDecoder struct {
 	TimeWeight, SpaceWeight int
 
 	instr *Instr
-	heat  *heatmap.Collector // nil unless SetHeat bound one
+	heat  *heatmap.Collector // nil unless Bind set one
 
 	// Scratch buffers reused across calls (see type comment).
 	dpBuf, choiceBuf []int32
@@ -422,13 +422,12 @@ func NewGlobalDecoder(lat surface.Lattice) *GlobalDecoder {
 	return &GlobalDecoder{lat: lat, MaxExact: 14, TimeWeight: 1, SpaceWeight: 1, instr: defaultInstr}
 }
 
-// SetInstr rebinds the decoder's instruments (e.g. to a per-worker metrics
-// shard). A nil value restores the default registry.
-func (g *GlobalDecoder) SetInstr(in *Instr) {
-	if in == nil {
-		in = defaultInstr
-	}
-	g.instr = in
+// Bind rebinds the decoder's instruments (e.g. to a per-worker metrics
+// shard) and heat collector: every Match then records its pairs' endpoints
+// and space-time chain lengths and its boundary matches.
+func (g *GlobalDecoder) Bind(b Binding) {
+	g.instr = b.instrOr()
+	g.heat = b.Heat
 }
 
 // SetWeights derives integer edge weights from the two error processes: an

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"quest/internal/heatmap"
+	"quest/internal/metrics"
 	"quest/internal/surface"
 )
 
@@ -30,10 +31,10 @@ func TestHeatRecordsDefectBirths(t *testing.T) {
 	}
 }
 
-// TestHeatRecordsMatching pins the matcher hook: a two-defect match records
-// both endpoints, the unweighted space-time chain length, and boundary
-// matches go to the boundary counter — for both the exact and union-find
-// matchers.
+// TestHeatRecordsMatching pins the matcher hooks Bind sets: a two-defect
+// match records both endpoints, the unweighted space-time chain length, and
+// boundary matches go to the boundary counter, and counts one call in the
+// bound instruments — for both the exact and union-find matchers.
 func TestHeatRecordsMatching(t *testing.T) {
 	lat := surface.NewPlanar(5)
 	zs := lat.Qubits(surface.RoleAncillaZ)
@@ -42,18 +43,19 @@ func TestHeatRecordsMatching(t *testing.T) {
 		return Defect{Round: round, Qubit: q, R: r, C: c, IsX: false}
 	}
 	defects := []Defect{mk(zs[0], 0), mk(zs[1], 0)}
-	matchers := map[string]interface {
-		Matcher
-		SetHeat(*heatmap.Collector)
-	}{
+	matchers := map[string]Matcher{
 		"exact":     NewGlobalDecoder(lat),
 		"unionfind": NewUnionFindDecoder(lat),
 	}
 	for name, m := range matchers {
 		t.Run(name, func(t *testing.T) {
 			heat := heatmap.New(lat.Rows, lat.Cols)
-			m.SetHeat(heat)
+			reg := metrics.New()
+			m.Bind(Binding{Instr: NewInstr(reg), Heat: heat})
 			match := m.Match(defects)
+			if got := reg.Counter("decoder.match.calls").Value(); got != 1 {
+				t.Errorf("bound registry saw %d decoder.match.calls, want 1", got)
+			}
 			if got := heat.Pairs() + heat.Boundary(); got < 1 {
 				t.Fatalf("matching %+v recorded nothing", match)
 			}
@@ -82,14 +84,14 @@ func TestHeatRecordsMatching(t *testing.T) {
 	}
 }
 
-// TestWindowForwardsHeat pins the forwarding: SetHeat on a window reaches
-// the wrapped matcher, so windowed decoding records chain statistics.
+// TestWindowForwardsHeat pins the forwarding: Bind on a window reaches the
+// wrapped matcher, so windowed decoding records chain statistics.
 func TestWindowForwardsHeat(t *testing.T) {
 	lat := surface.NewPlanar(3)
 	g := NewGlobalDecoder(lat)
 	w := NewWindowDecoder(g, 2)
 	heat := heatmap.New(lat.Rows, lat.Cols)
-	w.SetHeat(heat)
+	w.Bind(Binding{Heat: heat})
 	if g.heat != heat {
 		t.Fatal("window did not forward the collector to its matcher")
 	}

@@ -17,13 +17,22 @@ import (
 // master-controller budget the paper allots to global decoding — the
 // BenchmarkAblationUnionFind bench quantifies the trade.
 type UnionFindDecoder struct {
-	lat  surface.Lattice
-	heat *heatmap.Collector // nil unless SetHeat bound one
+	lat   surface.Lattice
+	instr *Instr
+	heat  *heatmap.Collector // nil unless Bind set one
 }
 
 // NewUnionFindDecoder returns a decoder for the lattice.
 func NewUnionFindDecoder(lat surface.Lattice) *UnionFindDecoder {
-	return &UnionFindDecoder{lat: lat}
+	return &UnionFindDecoder{lat: lat, instr: defaultInstr}
+}
+
+// Bind rebinds the decoder's instruments and heat collector, recording the
+// same per-matching footprint as the MWPM decoder so ablation runs stay
+// comparable.
+func (d *UnionFindDecoder) Bind(b Binding) {
+	d.instr = b.instrOr()
+	d.heat = b.Heat
 }
 
 // ufNode is one defect's cluster bookkeeping.
@@ -90,10 +99,10 @@ func (d *UnionFindDecoder) Match(defects []Defect) Matching {
 	}
 	start := time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
 	defer func() {
-		defaultInstr.matchUF.Inc()
-		defaultInstr.matchCalls.Inc()
-		defaultInstr.matchDefects.Add(uint64(n))
-		defaultInstr.matchNs.Observe(float64(time.Since(start)))
+		d.instr.matchUF.Inc()
+		d.instr.matchCalls.Inc()
+		d.instr.matchDefects.Add(uint64(n))
+		d.instr.matchNs.Observe(float64(time.Since(start)))
 	}()
 	uf := newUnionFind(n)
 	active := func(root int) bool {

@@ -31,10 +31,12 @@ type WindowDecoder struct {
 }
 
 // Matcher is the matching stage both global decoders implement, letting the
-// window (and the master controller) swap MWPM for union-find.
+// window (and the master controller) swap MWPM for union-find. Bind rebinds
+// the instruments and heat collector its matchings record into.
 type Matcher interface {
 	Match(defects []Defect) Matching
 	Corrections(defects []Defect, m Matching) []Correction
+	Bind(b Binding)
 }
 
 var (
@@ -52,24 +54,13 @@ func NewWindowDecoder(global Matcher, windowRounds int) *WindowDecoder {
 	return &WindowDecoder{global: global, WindowRounds: windowRounds, instr: defaultInstr}
 }
 
-// SetInstr rebinds the window's instruments (e.g. to a per-worker metrics
-// shard); it also rebinds the wrapped matcher when that is a GlobalDecoder.
-// A nil value restores the default registry.
-func (w *WindowDecoder) SetInstr(in *Instr) {
-	if in == nil {
-		in = defaultInstr
-	}
-	w.instr = in
-	if g, ok := w.global.(*GlobalDecoder); ok {
-		g.SetInstr(in)
-	}
-}
-
-// SetTracer binds a tracer and track id (the tile index) so flushes emit
-// decoder-track "window" spans covering open→flush. Nil disables emission.
-func (w *WindowDecoder) SetTracer(tr *tracing.Tracer, tid int) {
-	w.tr = tr
-	w.tid = tid
+// Bind rebinds the window's instruments and tracer (the window's spans go
+// on track b.TID) and forwards b to the wrapped matcher.
+func (w *WindowDecoder) Bind(b Binding) {
+	w.instr = b.instrOr()
+	w.tr = b.Tracer
+	w.tid = b.TID
+	w.global.Bind(b)
 }
 
 // Pending returns the number of buffered defects.

@@ -68,7 +68,7 @@ func windowedFailRate(t *testing.T, d int, p float64, trials int) float64 {
 	lat := surface.NewPlanar(d)
 	words := surface.CompileCycle(lat, surface.Steane, nil)
 	cell := mc.Seed(0xdec0de, mc.F64(p), uint64(d))
-	res := mc.Run(trials, 0, 1, cell, nil, nil, mc.Observers{}, func(_ int, seeds []uint64, _ mc.BatchCtx, out []mc.Outcome) {
+	res := mc.Run(trials, 0, 1, cell, mc.Observers{}, func(_ int, seeds []uint64, _ mc.BatchCtx, out []mc.Outcome) {
 		seed := seeds[0]
 		tb := clifford.New(lat.NumQubits(), rand.New(rand.NewSource(int64(mc.Derive(seed, 0)))))
 		inj := noise.NewInjector(noise.Uniform(p), int64(mc.Derive(seed, 1)))
@@ -126,7 +126,7 @@ func TestWindowTracerEmitsWindowSpans(t *testing.T) {
 	lat := surface.NewPlanar(5)
 	w := NewWindowDecoder(NewGlobalDecoder(lat), 3)
 	tr := tracing.New(64)
-	w.SetTracer(tr, 2)
+	w.Bind(Binding{Tracer: tr, TID: 2})
 	frame := NewPauliFrame()
 	a := lat.Index(3, 4)
 	w.Absorb([]Defect{mkDefect(lat, a, 1)}, frame)

@@ -23,6 +23,7 @@ import (
 	"quest/internal/mce"
 	"quest/internal/metrics"
 	"quest/internal/noc"
+	"quest/internal/probe"
 	"quest/internal/tracing"
 )
 
@@ -55,23 +56,15 @@ type Config struct {
 	// per-tile queues. Latency becomes load-dependent — harmless for
 	// logical traffic, which is the §3.4 point.
 	UseNoC bool
-	// Metrics selects the registry the controller's instruments and bus
-	// meters record into (nil = metrics.Default).
-	Metrics *metrics.Registry
-	// Tracer, when non-nil, records cycle-correlated dispatch/sync/cache
-	// instants, global-decode spans and NoC delivery events for Perfetto
-	// export; it is also handed to the per-tile window decoders and the mesh.
-	// Nil falls back to tracing.Default (nil = tracing off).
-	Tracer *tracing.Tracer
-	// Heat, when non-nil, records every global matching's spatial footprint
-	// (matched-chain endpoints and lengths) into a per-lattice-shape
-	// collector, complementing the defect births the MCE histories record.
-	// Nil (the default) keeps the decode path allocation-free.
-	Heat *heatmap.Set
-	// BW, when non-nil, buckets every bus observation into cycle windows
-	// with per-µop-class attribution for the quest-bw/1 bandwidth profile.
-	// Nil (the default) keeps the dispatch paths allocation-free.
-	BW *bwprofile.Recorder
+	// Probes are the observers the controller records into: instruments
+	// and bus meters (Metrics); dispatch/sync/cache instants, global-decode
+	// spans and NoC delivery events, also handed to the per-tile window
+	// decoders and the mesh (Tracer); every global matching's spatial
+	// footprint — matched-chain endpoints and lengths — per lattice shape,
+	// complementing the defect births the MCE histories record (Heat); and
+	// every bus observation, bucketed into cycle windows with per-µop-class
+	// attribution for the quest-bw/1 profile (BW).
+	probe.Probes
 }
 
 // masterInstr bundles the controller's instruments.
@@ -118,16 +111,22 @@ type Master struct {
 	Cache    bandwidth.Counter
 	Syndrome bandwidth.Counter
 
-	in *masterInstr
-	tr *tracing.Tracer
-	bw *bwprofile.Recorder
+	// reg is the registry in, decIn and the bus bridges are resolved
+	// against; Reset re-resolves only when the bound registry changes.
+	reg   *metrics.Registry
+	in    *masterInstr
+	decIn *decoder.Instr
+	tr    *tracing.Tracer
+	bw    *bwprofile.Recorder
 
 	cycle          int
 	escalatedTotal uint64
 	globalCorr     uint64
 }
 
-// New builds a master over the given MCE tiles.
+// New builds a master over the given MCE tiles: queues, per-tile global
+// decoders (and decode windows), factories and the mesh, with Reset binding
+// the observers.
 func New(cfg Config, tiles []*mce.MCE) *Master {
 	if len(tiles) == 0 {
 		panic("master: no tiles")
@@ -135,53 +134,28 @@ func New(cfg Config, tiles []*mce.MCE) *Master {
 	if cfg.PacketsPerCycle <= 0 {
 		cfg.PacketsPerCycle = 16
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.Default
-	}
-	tr := cfg.Tracer
-	if tr == nil {
-		tr = tracing.Default
-	}
 	m := &Master{
-		cfg:    cfg,
-		tiles:  tiles,
-		queues: make([][]packet, len(tiles)),
-		in:     newMasterInstr(reg),
-		tr:     tr,
-		bw:     cfg.BW,
+		cfg:     cfg,
+		tiles:   tiles,
+		queues:  make([][]packet, len(tiles)),
+		windows: make([]*decoder.WindowDecoder, len(tiles)),
 	}
-	// Mirror the per-class bus meters into the registry so -metrics reports
-	// bus traffic alongside latencies without a second accounting path.
-	m.Logical.Bridge(reg.Counter("master.bus.logical.instr"), reg.Counter("master.bus.logical.bytes"))
-	m.Sync.Bridge(reg.Counter("master.bus.sync.instr"), reg.Counter("master.bus.sync.bytes"))
-	m.Cache.Bridge(reg.Counter("master.bus.cache.instr"), reg.Counter("master.bus.cache.bytes"))
-	m.Syndrome.Bridge(reg.Counter("master.bus.syndrome.records"), reg.Counter("master.bus.syndrome.bytes"))
-	for _, t := range tiles {
+	for i, t := range tiles {
 		var g decoder.Matcher
 		if cfg.UseUnionFind {
 			g = decoder.NewUnionFindDecoder(t.Layout().Lat)
 		} else {
 			g = decoder.NewGlobalDecoder(t.Layout().Lat)
 		}
-		if cfg.Heat != nil {
-			lat := t.Layout().Lat
-			if hs, ok := g.(interface{ SetHeat(*heatmap.Collector) }); ok {
-				hs.SetHeat(cfg.Heat.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols))
-			}
-		}
 		m.global = append(m.global, g)
 		if cfg.DecodeWindow > 1 {
-			w := decoder.NewWindowDecoder(g, cfg.DecodeWindow)
-			w.SetTracer(tr, len(m.windows))
-			m.windows = append(m.windows, w)
-		} else {
-			m.windows = append(m.windows, nil)
+			m.windows[i] = decoder.NewWindowDecoder(g, cfg.DecodeWindow)
 		}
 	}
 	for i := 0; i < cfg.Factories; i++ {
 		m.factories = append(m.factories, &distill.Factory{LatencyRounds: cfg.FactoryLatency})
 	}
+	m.Reset(cfg.Probes)
 	if cfg.UseNoC {
 		// Square-ish mesh covering the tile count.
 		w := 1
@@ -190,7 +164,7 @@ func New(cfg Config, tiles []*mce.MCE) *Master {
 		}
 		h := (len(tiles) + w - 1) / w
 		m.mesh = noc.NewMesh(w, h)
-		m.mesh.SetTracer(tr)
+		m.mesh.SetTracer(m.tr)
 	}
 	return m
 }
@@ -198,22 +172,50 @@ func New(cfg Config, tiles []*mce.MCE) *Master {
 // Tiles returns the managed MCEs.
 func (m *Master) Tiles() []*mce.MCE { return m.tiles }
 
-// Reset rewinds the controller to the state New built, rebinding the
-// per-trial observation hooks (metrics shard, tracer, heat set, bandwidth
-// recorder). The tiles
-// are reset separately (they carry their own seeds); the decoders' lookup
-// tables are trial-independent and kept. The NoC mesh carries in-flight
-// packet state that no drain guarantees empty, so pooled resets are only
-// supported for the ideal-queue network model.
-func (m *Master) Reset(reg *metrics.Registry, tr *tracing.Tracer, heat *heatmap.Set, bw *bwprofile.Recorder) {
+// Reset returns the controller to its just-built state and binds the
+// observers (a nil Metrics or Tracer resolves to the package defaults); New
+// ends here, so construction and pooled reuse share one path. Every global
+// decoder and decode window is bound to the same registry, tracer (the
+// window's track is its tile index) and heat set. The tiles are reset
+// separately (they carry their own seeds); the decoders' lookup tables are
+// trial-independent and kept. The NoC mesh carries in-flight packet state
+// that no drain guarantees empty, so pooled resets are only supported for
+// the ideal-queue network model.
+func (m *Master) Reset(p probe.Probes) {
 	if m.mesh != nil {
 		panic("master: Reset with a NoC mesh is not supported; build a fresh machine")
 	}
+	reg := p.Metrics
 	if reg == nil {
 		reg = metrics.Default
 	}
-	if tr == nil {
-		tr = tracing.Default
+	if reg != m.reg {
+		m.reg, m.in, m.decIn = reg, newMasterInstr(reg), decoder.NewInstr(reg)
+		// Mirror the per-class bus meters into the registry so -metrics
+		// reports bus traffic alongside latencies without a second
+		// accounting path.
+		m.Logical.Bridge(reg.Counter("master.bus.logical.instr"), reg.Counter("master.bus.logical.bytes"))
+		m.Sync.Bridge(reg.Counter("master.bus.sync.instr"), reg.Counter("master.bus.sync.bytes"))
+		m.Cache.Bridge(reg.Counter("master.bus.cache.instr"), reg.Counter("master.bus.cache.bytes"))
+		m.Syndrome.Bridge(reg.Counter("master.bus.syndrome.records"), reg.Counter("master.bus.syndrome.bytes"))
+	}
+	m.tr = p.Tracer
+	if m.tr == nil {
+		m.tr = tracing.Default
+	}
+	m.bw = p.BW
+	for i, g := range m.global {
+		b := decoder.Binding{Instr: m.decIn, Tracer: m.tr, TID: i}
+		if p.Heat != nil {
+			lat := m.tiles[i].Layout().Lat
+			b.Heat = p.Heat.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols)
+		}
+		if w := m.windows[i]; w != nil {
+			w.Reset()
+			w.Bind(b)
+		} else {
+			g.Bind(b)
+		}
 	}
 	for i := range m.queues {
 		m.queues[i] = m.queues[i][:0]
@@ -226,29 +228,6 @@ func (m *Master) Reset(reg *metrics.Registry, tr *tracing.Tracer, heat *heatmap.
 	m.Sync.Reset()
 	m.Cache.Reset()
 	m.Syndrome.Reset()
-	m.Logical.Bridge(reg.Counter("master.bus.logical.instr"), reg.Counter("master.bus.logical.bytes"))
-	m.Sync.Bridge(reg.Counter("master.bus.sync.instr"), reg.Counter("master.bus.sync.bytes"))
-	m.Cache.Bridge(reg.Counter("master.bus.cache.instr"), reg.Counter("master.bus.cache.bytes"))
-	m.Syndrome.Bridge(reg.Counter("master.bus.syndrome.records"), reg.Counter("master.bus.syndrome.bytes"))
-	for i, g := range m.global {
-		if hs, ok := g.(interface{ SetHeat(*heatmap.Collector) }); ok {
-			var c *heatmap.Collector
-			if heat != nil {
-				lat := m.tiles[i].Layout().Lat
-				c = heat.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols)
-			}
-			hs.SetHeat(c)
-		}
-	}
-	for i, w := range m.windows {
-		if w != nil {
-			w.Reset()
-			w.SetTracer(tr, i)
-		}
-	}
-	m.in = newMasterInstr(reg)
-	m.tr = tr
-	m.bw = bw
 	m.cycle = 0
 	m.escalatedTotal = 0
 	m.globalCorr = 0

@@ -47,7 +47,7 @@ func runObservedLanes(trials, workers, lane int, ciWidth float64, prior []Outcom
 	bw := bwprofile.New(bwprofile.DefaultWindow)
 	reg := metrics.New()
 	var r laneRun
-	r.res = Run(trials, workers, lane, cell, reg, nil, Observers{
+	r.res = Run(trials, workers, lane, cell, Observers{Metrics: reg,
 		CIWidth: ciWidth, Heat: heat, BW: bw, Prior: prior,
 		Sink: func(trial int, seed uint64, out Outcome) {
 			r.sink = append(r.sink, fmt.Sprintf("%d:%x:%v", trial, seed, out.Fail))
@@ -131,7 +131,7 @@ func TestRunBatchLaneGeometry(t *testing.T) {
 		for _, prior := range []int{0, 37} {
 			var mu sync.Mutex
 			covered := make([]int, trials)
-			Run(trials, 4, lane, cell, nil, nil, Observers{Prior: make([]Outcome, prior)},
+			Run(trials, 4, lane, cell, Observers{Prior: make([]Outcome, prior)},
 				func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
 					mu.Lock()
 					defer mu.Unlock()
@@ -172,7 +172,7 @@ func TestRunBatchLaneGeometry(t *testing.T) {
 // must equal the busy gauge exactly.
 func TestTrialNsSumMatchesBusyGauge(t *testing.T) {
 	reg := metrics.New()
-	Run(200, 1, 1, Seed(23), reg, nil, Observers{}, rateFn(0.2))
+	Run(200, 1, 1, Seed(23), Observers{Metrics: reg}, rateFn(0.2))
 	sum := reg.Histogram("mc.trial.ns", metrics.LatencyBounds()).Summary().Sum
 	busy := reg.Gauge("mc.worker_busy_ns").Value()
 	if sum != busy {
@@ -183,7 +183,7 @@ func TestTrialNsSumMatchesBusyGauge(t *testing.T) {
 	// so the per-trial observations must still sum to the busy time (up to
 	// float division; the reconstruction is n*(dur/n) per lane).
 	regB := metrics.New()
-	Run(200, 1, LaneWidth, Seed(23), regB, nil, Observers{}, rateFn(0.2))
+	Run(200, 1, LaneWidth, Seed(23), Observers{Metrics: regB}, rateFn(0.2))
 	sumB := regB.Histogram("mc.trial.ns", metrics.LatencyBounds()).Summary().Sum
 	busyB := regB.Gauge("mc.worker_busy_ns").Value()
 	if busyB == 0 {
@@ -204,7 +204,7 @@ func TestProgressMonotonicUnderCIStop(t *testing.T) {
 	for _, lane := range []int{1, LaneWidth} {
 		var mu sync.Mutex
 		var snaps []Progress
-		res := Run(5000, 8, lane, Seed(61, F64(0.4)), nil, nil, Observers{
+		res := Run(5000, 8, lane, Seed(61, F64(0.4)), Observers{
 			CIWidth:       0.2,
 			ProgressEvery: 1, // maximal pressure: every completion emits
 			Progress: func(p Progress) {

@@ -147,6 +147,20 @@ type Progress struct {
 // Observers bundles the optional observation hooks of Run. The zero value
 // observes nothing and adds nothing to the hot path.
 type Observers struct {
+	// Metrics, when non-nil, gives each worker a private Registry (fn sees
+	// it as BatchCtx.Shard), merged into Metrics in worker order when the
+	// pool drains; counters and fixed-bucket histograms merge by addition,
+	// so the totals are worker-count independent and only the wall-clock
+	// gauges (mc.trials_per_sec, mc.worker_utilization) reflect this
+	// particular run. The mc.trial.ns histogram observes each lane's
+	// duration amortized per trial. Nil leaves BatchCtx.Shard nil.
+	Metrics *metrics.Registry
+
+	// Tracer, when non-nil, gives each worker a private Tracer merged into
+	// it, whose exporter sorts canonically, so the trace JSON is
+	// byte-identical for every worker count.
+	Tracer *tracing.Tracer
+
 	// Progress, when non-nil, is called every ProgressEvery completed
 	// trials (default trials/100, min 1) and once more with Done=true
 	// after the pool drains. Calls are serialized but may come from worker
@@ -392,18 +406,9 @@ type worker struct {
 // and reduced in trial order after the pool drains, never in completion
 // order.
 //
-// reg == nil disables metrics: fn sees a nil Shard. Otherwise each worker
-// records into a private Registry, merged into reg in worker order when the
-// pool drains; counters and fixed-bucket histograms merge by addition, so
-// the totals are worker-count independent and only the wall-clock gauges
-// (mc.trials_per_sec, mc.worker_utilization) reflect this particular run.
-// The mc.trial.ns histogram observes each lane's duration amortized per
-// trial. tr == nil disables tracing; otherwise each worker records into a
-// private Tracer merged into tr, whose exporter sorts canonically, so the
-// trace JSON is byte-identical for every worker count. Instruments observe
-// the computation; they never feed back into it.
-func Run(trials, workers, lane int, cellSeed uint64, reg *metrics.Registry, tr *tracing.Tracer,
-	obs Observers, fn BatchFn) Result {
+// Instruments and tracers (Observers.Metrics, Observers.Tracer) observe the
+// computation; they never feed back into it.
+func Run(trials, workers, lane int, cellSeed uint64, obs Observers, fn BatchFn) Result {
 	if trials <= 0 {
 		return Result{}
 	}
@@ -428,6 +433,7 @@ func Run(trials, workers, lane int, cellSeed uint64, reg *metrics.Registry, tr *
 	// local here is assigned exactly once so the goroutine closure captures
 	// plain values, not heap cells: the unobserved path allocates nothing
 	// extra (pinned by TestRunAllocs).
+	reg, tr := obs.Metrics, obs.Tracer
 	traces := makeTraceShards(tr, workers)
 	st := newStopState(obs.CIWidth, obs.MinTrials, trials)
 	if st != nil {

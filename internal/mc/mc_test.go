@@ -33,7 +33,7 @@ func perTrial(fn func(trial int, seed uint64) Outcome) BatchFn {
 
 // runPlain is Run with every observer off.
 func runPlain(trials, workers, lane int, cell uint64, fn func(trial int, seed uint64) Outcome) Result {
-	return Run(trials, workers, lane, cell, nil, nil, Observers{}, perTrial(fn))
+	return Run(trials, workers, lane, cell, Observers{}, perTrial(fn))
 }
 
 func TestRunWorkerCountInvariant(t *testing.T) {
@@ -168,7 +168,7 @@ func TestWilsonAttachedToResult(t *testing.T) {
 func TestRunWithShardMergeInvariant(t *testing.T) {
 	run := func(workers int) (Result, uint64, uint64, uint64) {
 		reg := metrics.New()
-		res := Run(300, workers, 1, Seed(11), reg, nil, Observers{},
+		res := Run(300, workers, 1, Seed(11), Observers{Metrics: reg},
 			func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
 				if ctx.Shard == nil {
 					t.Fatal("nil shard despite non-nil registry")
@@ -207,7 +207,7 @@ func TestRunWithShardMergeInvariant(t *testing.T) {
 // into one histogram counting every trial.
 func TestRunWithHistogramMerge(t *testing.T) {
 	reg := metrics.New()
-	Run(64, 4, 1, Seed(13), reg, nil, Observers{}, perTrial(func(int, uint64) Outcome { return Outcome{} }))
+	Run(64, 4, 1, Seed(13), Observers{Metrics: reg}, perTrial(func(int, uint64) Outcome { return Outcome{} }))
 	h := reg.Histogram("mc.trial.ns", metrics.LatencyBounds())
 	if got := h.Count(); got != 64 {
 		t.Errorf("merged mc.trial.ns count = %d, want 64", got)
@@ -224,7 +224,7 @@ func TestRunWithHistogramMerge(t *testing.T) {
 // TestRunWithNilRegistry pins that a nil target registry disables sharding:
 // fn sees a nil shard and the Result still matches the instrumented run.
 func TestRunWithNilRegistry(t *testing.T) {
-	res := Run(50, 4, 1, Seed(11), nil, nil, Observers{},
+	res := Run(50, 4, 1, Seed(11), Observers{},
 		func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
 			if ctx.Shard != nil {
 				t.Error("expected nil shard with nil registry")
@@ -244,7 +244,7 @@ func TestRunWithNilRegistry(t *testing.T) {
 func TestRunTracedDeterminism(t *testing.T) {
 	runOnce := func(workers int) []byte {
 		tr := tracing.New(1 << 12)
-		res := Run(40, workers, 1, Seed(7), nil, tr, Observers{},
+		res := Run(40, workers, 1, Seed(7), Observers{Tracer: tr},
 			func(trial int, seeds []uint64, ctx BatchCtx, out []Outcome) {
 				trace := ctx.Trace
 				if trace == nil {
@@ -283,7 +283,7 @@ func TestRunTracedDeterminism(t *testing.T) {
 // without disturbing metrics sharding or the Result.
 func TestRunTracedNilTracer(t *testing.T) {
 	reg := metrics.New()
-	res := Run(30, 4, 1, Seed(9), reg, nil, Observers{},
+	res := Run(30, 4, 1, Seed(9), Observers{Metrics: reg},
 		func(trial int, seeds []uint64, ctx BatchCtx, out []Outcome) {
 			if ctx.Trace != nil {
 				t.Error("expected nil trace shard with nil tracer")

@@ -81,7 +81,7 @@ func TestRunAllocs(t *testing.T) {
 		return Outcome{Fail: seed&1 == 0}
 	})
 	allocs := testing.AllocsPerRun(100, func() {
-		Run(100, 1, 1, Seed(5), nil, nil, Observers{}, fn)
+		Run(100, 1, 1, Seed(5), Observers{}, fn)
 	})
 	if allocs > 8 {
 		t.Errorf("Run metrics-off allocs/call = %v, budget 8", allocs)
@@ -98,7 +98,7 @@ func TestRunObservedZeroValueMatchesRun(t *testing.T) {
 	cell := Seed(42, F64(1e-3), 3)
 	base := runPlain(300, 4, 1, cell, trialRate)
 	for _, lane := range []int{1, 7, LaneWidth} {
-		got := Run(300, 4, lane, cell, nil, nil, Observers{}, func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
+		got := Run(300, 4, lane, cell, Observers{}, func(start int, seeds []uint64, ctx BatchCtx, out []Outcome) {
 			if ctx.Shard != nil || ctx.Trace != nil || ctx.Heat != nil || ctx.BW != nil {
 				t.Error("zero Observers handed out live observation hooks")
 			}
@@ -117,7 +117,7 @@ func TestRunObservedZeroValueMatchesRun(t *testing.T) {
 func TestCIStopDeterministicAcrossWorkers(t *testing.T) {
 	cell := Seed(17, F64(2e-3), 5)
 	runOnce := func(workers int) Result {
-		return Run(5000, workers, 1, cell, nil, nil,
+		return Run(5000, workers, 1, cell,
 			Observers{CIWidth: 0.05}, rateFn(0.3))
 	}
 	base := runOnce(1)
@@ -141,8 +141,8 @@ func TestCIStopDeterministicAcrossWorkers(t *testing.T) {
 func TestCIStopSavesTrials(t *testing.T) {
 	cell := Seed(23, F64(1e-4), 3)
 	budget := 20000
-	fixed := Run(budget, 4, 1, cell, nil, nil, Observers{}, rateFn(0.02))
-	stopped := Run(budget, 4, 1, cell, nil, nil, Observers{CIWidth: 0.04}, rateFn(0.02))
+	fixed := Run(budget, 4, 1, cell, Observers{}, rateFn(0.02))
+	stopped := Run(budget, 4, 1, cell, Observers{CIWidth: 0.04}, rateFn(0.02))
 	if stopped.Trials >= budget/2 {
 		t.Errorf("easy cell used %d of %d trials, expected a large saving", stopped.Trials, budget)
 	}
@@ -170,7 +170,7 @@ func TestCIStopSavesTrials(t *testing.T) {
 // TestCIStopMinTrialsFloor pins that the stop rule never fires before
 // MinTrials even when the interval is trivially narrow.
 func TestCIStopMinTrialsFloor(t *testing.T) {
-	res := Run(1000, 8, 1, Seed(3), nil, nil,
+	res := Run(1000, 8, 1, Seed(3),
 		Observers{CIWidth: 0.9, MinTrials: 64}, rateFn(0))
 	if res.Trials < 64 {
 		t.Errorf("stopped at %d trials, before MinTrials=64", res.Trials)
@@ -183,7 +183,7 @@ func TestCIStopMinTrialsFloor(t *testing.T) {
 func TestObservedSinkTrialOrder(t *testing.T) {
 	cell := Seed(29)
 	var got []string
-	res := Run(100, 8, 1, cell, nil, nil, Observers{
+	res := Run(100, 8, 1, cell, Observers{
 		Sink: func(trial int, seed uint64, out Outcome) {
 			got = append(got, fmt.Sprintf("%d:%x:%v", trial, seed, out.Fail))
 		},
@@ -208,7 +208,7 @@ func TestObservedHeatDeterministicAcrossWorkers(t *testing.T) {
 	cell := Seed(31, F64(5e-3), 3)
 	runOnce := func(workers int, ciWidth float64) ([][]int64, []int64, Result) {
 		heat := heatmap.New(5, 5)
-		res := Run(3000, workers, 1, cell, nil, nil,
+		res := Run(3000, workers, 1, cell,
 			Observers{Heat: heat, CIWidth: ciWidth},
 			func(trial int, seeds []uint64, ctx BatchCtx, out []Outcome) {
 				if len(ctx.Heat) != 1 {
@@ -247,7 +247,7 @@ func TestObservedHeatDeterministicAcrossWorkers(t *testing.T) {
 // when the sink is nil.
 func TestObservedProgress(t *testing.T) {
 	var snaps []Progress
-	res := Run(200, 4, 1, Seed(37), nil, nil, Observers{
+	res := Run(200, 4, 1, Seed(37), Observers{
 		Progress:      func(p Progress) { snaps = append(snaps, p) },
 		ProgressEvery: 50,
 	}, rateFn(0.2))
@@ -287,7 +287,7 @@ func TestObservedProgress(t *testing.T) {
 func TestObservedMetricsShardsStillMerge(t *testing.T) {
 	reg := metrics.New()
 	var calls atomic.Int64
-	res := Run(120, 4, 1, Seed(41), reg, nil, Observers{},
+	res := Run(120, 4, 1, Seed(41), Observers{Metrics: reg},
 		func(trial int, seeds []uint64, ctx BatchCtx, out []Outcome) {
 			if ctx.Shard == nil {
 				t.Error("expected metrics shard")

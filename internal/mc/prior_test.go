@@ -19,7 +19,7 @@ func priorFn(calls *atomic.Int64) BatchFn {
 func recordOutcomes(trials int) ([]Outcome, Result) {
 	outs := make([]Outcome, 0, trials)
 	var calls atomic.Int64
-	res := Run(trials, 4, 1, 0xc0ffee, nil, nil, Observers{
+	res := Run(trials, 4, 1, 0xc0ffee, Observers{
 		Sink: func(trial int, seed uint64, out Outcome) { outs = append(outs, out) },
 	}, priorFn(&calls))
 	return outs, res
@@ -35,7 +35,7 @@ func TestPriorSkipsExecution(t *testing.T) {
 		for _, prior := range []int{0, 1, 7, trials} {
 			var calls atomic.Int64
 			var sunk []Outcome
-			got := Run(trials, 4, lane, 0xc0ffee, nil, nil, Observers{
+			got := Run(trials, 4, lane, 0xc0ffee, Observers{
 				Prior: outs[:prior],
 				Sink:  func(trial int, seed uint64, out Outcome) { sunk = append(sunk, out) },
 			}, priorFn(&calls))
@@ -59,7 +59,7 @@ func TestPriorLongerThanBudgetIsTruncated(t *testing.T) {
 	outs, _ := recordOutcomes(20)
 	var calls atomic.Int64
 	_, want := recordOutcomes(12)
-	got := Run(12, 4, 1, 0xc0ffee, nil, nil, Observers{Prior: outs}, priorFn(&calls))
+	got := Run(12, 4, 1, 0xc0ffee, Observers{Prior: outs}, priorFn(&calls))
 	if calls.Load() != 0 {
 		t.Errorf("executed %d trials with a full prior, want 0", calls.Load())
 	}
@@ -75,7 +75,7 @@ func TestPriorFeedsCIStop(t *testing.T) {
 	const budget = 300
 	obs := Observers{CIWidth: 0.2}
 	var calls atomic.Int64
-	want := Run(budget, 4, 1, 0xc0ffee, nil, nil, obs, priorFn(&calls))
+	want := Run(budget, 4, 1, 0xc0ffee, obs, priorFn(&calls))
 	if want.Trials >= budget {
 		t.Fatalf("ci-stop never fired (%d trials); widen the test margin", want.Trials)
 	}
@@ -85,7 +85,7 @@ func TestPriorFeedsCIStop(t *testing.T) {
 			o := obs
 			o.Prior = outs[:prior]
 			var resumedCalls atomic.Int64
-			got := Run(budget, 4, lane, 0xc0ffee, nil, nil, o, priorFn(&resumedCalls))
+			got := Run(budget, 4, lane, 0xc0ffee, o, priorFn(&resumedCalls))
 			if got != want {
 				t.Errorf("lane=%d prior=%d: Result %+v != uninterrupted %+v", lane, prior, got, want)
 			}
@@ -112,7 +112,7 @@ func TestPriorSeedsProgress(t *testing.T) {
 	for _, lane := range []int{1, LaneWidth} {
 		var snaps []Progress
 		var calls atomic.Int64
-		Run(budget, 1, lane, 0xc0ffee, nil, nil, Observers{
+		Run(budget, 1, lane, 0xc0ffee, Observers{
 			Prior:         outs[:prior],
 			ProgressEvery: 10,
 			Progress:      func(p Progress) { snaps = append(snaps, p) },

@@ -30,6 +30,7 @@ import (
 	"quest/internal/metrics"
 	"quest/internal/microcode"
 	"quest/internal/noise"
+	"quest/internal/probe"
 	"quest/internal/surface"
 	"quest/internal/tracing"
 )
@@ -86,28 +87,17 @@ type Config struct {
 	// buffer rejects Enqueue; the master's flow control must respect
 	// FreeBufferSlots. QECC replay is never affected — that is the point.
 	BufferCapacity int
-	// Metrics selects the registry the engine's instruments record into
-	// (nil = metrics.Default). Monte-Carlo workers pass per-worker shards so
-	// parallel trials never contend on shared counters.
-	Metrics *metrics.Registry
-	// Tracer, when non-nil, records cycle-correlated events (per-cycle
-	// busy/stall/idle spans, cache fills and replays, local decode activity)
-	// for Perfetto export. Nil falls back to tracing.Default, which is itself
-	// nil — tracing fully off, zero-alloc — unless a binary enabled it.
-	Tracer *tracing.Tracer
 	// TileID labels this engine's trace track (the master's tile index);
 	// purely observational.
 	TileID int
-	// Heat, when non-nil, records each defect the syndrome history births at
-	// its lattice site. Tiles resolve a collector per lattice shape, so
-	// same-shape tiles accumulate into one grid. Nil (the default) keeps
-	// defect extraction allocation-free.
-	Heat *heatmap.Set
-	// BW, when non-nil, records cache-replayed instructions (the traffic the
-	// MCE-local cache keeps off the global bus — replayed instrs, zero bus
-	// bytes) into the cycle-windowed bandwidth profile. Nil (the default)
-	// keeps the replay path allocation-free.
-	BW *bwprofile.Recorder
+	// Probes are the observers the engine records into: instruments
+	// (Metrics), per-cycle busy/stall/idle spans, cache fills and replays
+	// and local decode activity (Tracer), defect births of the syndrome
+	// history, one collector per lattice shape so same-shape tiles share a
+	// grid (Heat), and cache-replayed instructions — the traffic the
+	// MCE-local cache keeps off the global bus — into the bandwidth profile
+	// (BW).
+	probe.Probes
 }
 
 // CycleReport summarizes one StepCycle.
@@ -165,6 +155,9 @@ type MCE struct {
 
 	magicStates int
 
+	// reg is the registry in is resolved against; Reset re-resolves only
+	// when the bound registry changes, so pooled trials pay no lookups.
+	reg *metrics.Registry
 	in  *instr
 	tr  *tracing.Tracer
 	bw  *bwprofile.Recorder
@@ -189,27 +182,21 @@ type MCE struct {
 	pendingUnmask []region
 }
 
-// New builds an MCE per the config. The microcode store is programmed once
-// here; from then on QECC replays without external instruction supply.
+// New builds an MCE per the config: the trial-independent structures — the
+// programmed microcode store, the local decoder's lookup tables, the
+// tableau's row storage and the rest-state mask — then Reset binds the
+// seed and the observers. From then on QECC replays without external
+// instruction supply.
 func New(cfg Config) *MCE {
 	if cfg.CacheSlots < 0 {
 		panic(fmt.Sprintf("mce: negative cache slots %d", cfg.CacheSlots))
-	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.Default
-	}
-	tr := cfg.Tracer
-	if tr == nil {
-		tr = tracing.Default
 	}
 	lat := cfg.Layout.Lat
 	m := &MCE{
 		cfg:   cfg,
 		store: microcode.NewStore(cfg.Design, cfg.Schedule, lat),
-		mask:  surface.NewMask(lat),
 
-		tableau: clifford.New(lat.NumQubits(), rand.New(rand.NewSource(cfg.Seed))),
+		tableau: clifford.New(lat.NumQubits(), nil),
 
 		hist:  decoder.NewHistory(lat),
 		local: decoder.NewLocalDecoder(lat),
@@ -219,20 +206,11 @@ func New(cfg Config) *MCE {
 		busyPatch: make([]bool, cfg.Layout.NumPatches()),
 		claimed:   make([]bool, cfg.Layout.NumPatches()),
 
-		in:  newInstr(reg),
-		tr:  tr,
-		bw:  cfg.BW,
 		tid: cfg.TileID,
 
 		pendingSynd: make(map[int]int),
 		pendingData: make(map[int]int),
 		measuring:   make(map[int]bool),
-	}
-	if cfg.Noise != nil {
-		m.inj = noise.NewInjector(*cfg.Noise, cfg.Seed+1)
-	}
-	if cfg.Heat != nil {
-		m.hist.SetHeat(cfg.Heat.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols))
 	}
 	// Mask everything outside the patches: the inter-patch gap columns are
 	// not part of any code and must not run syndrome extraction.
@@ -242,37 +220,44 @@ func New(cfg Config) *MCE {
 			inPatch[q] = true
 		}
 	}
+	m.baseMask = surface.NewMask(lat)
 	for q, in := range inPatch {
 		if !in {
-			m.mask.SetDisabled(q, true)
+			m.baseMask.SetDisabled(q, true)
 		}
 	}
-	m.baseMask = m.mask.Clone()
-	m.unit = awg.New(m.tableau, m.inj)
-	m.unit.MeasSink = m.sinkMeasurement
-	if cfg.Timing != nil {
-		m.unit.SetTiming(*cfg.Timing)
-	}
+	m.Reset(cfg.Seed, cfg.Probes)
 	return m
 }
 
-// Reset returns the engine to the state New built, rebinding the per-trial
-// observation hooks: a fresh seed for the substrate and the noise injector,
-// a (possibly different) metrics shard, tracer and heat set. The expensive
-// trial-independent structures — the programmed microcode store, the local
-// decoder's lookup tables, the tableau's row storage and the rest-state mask
-// — are kept; everything mutable is rewound. Monte-Carlo trial bodies pool
-// MCEs (via Machine pooling) so per-trial construction cost is paid once per
-// worker instead of once per trial; the pooled-vs-fresh equivalence is pinned
-// by TestMachineResetMatchesFresh.
-func (m *MCE) Reset(seed int64, reg *metrics.Registry, tr *tracing.Tracer, heat *heatmap.Set, bw *bwprofile.Recorder) {
+// Reset returns the engine to its just-built state and binds the per-trial
+// inputs: a seed for the substrate and the noise injector, and the
+// observers (a nil Metrics or Tracer resolves to the package defaults). New
+// ends here, so construction and pooled reuse share one path. The
+// trial-independent structures are kept; everything mutable is rewound.
+// Monte-Carlo trial bodies pool MCEs (via Machine pooling) so per-trial
+// construction cost is paid once per worker instead of once per trial; the
+// pooled-vs-fresh equivalence is pinned by TestMachineResetMatchesFresh.
+func (m *MCE) Reset(seed int64, p probe.Probes) {
+	reg := p.Metrics
 	if reg == nil {
 		reg = metrics.Default
 	}
-	if tr == nil {
-		tr = tracing.Default
+	if reg != m.reg {
+		m.reg, m.in = reg, newInstr(reg)
 	}
+	m.tr = p.Tracer
+	if m.tr == nil {
+		m.tr = tracing.Default
+	}
+	m.bw = p.BW
 	lat := m.cfg.Layout.Lat
+	var heat *heatmap.Collector
+	if p.Heat != nil {
+		heat = p.Heat.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols)
+	}
+	m.hist.Reset()
+	m.hist.SetHeat(heat)
 
 	m.tableau.SetRNG(rand.New(rand.NewSource(seed)))
 	m.tableau.Reset()
@@ -282,13 +267,6 @@ func (m *MCE) Reset(seed int64, reg *metrics.Registry, tr *tracing.Tracer, heat 
 		m.inj = noise.NewInjector(*m.cfg.Noise, seed+1)
 	}
 	m.store.ResetStreamed()
-
-	m.hist.Reset()
-	if heat != nil {
-		m.hist.SetHeat(heat.Collector(heatmap.GridName(lat.Rows, lat.Cols), lat.Rows, lat.Cols))
-	} else {
-		m.hist.SetHeat(nil)
-	}
 	m.frame.Reset()
 
 	m.buffer = m.buffer[:0]
@@ -297,10 +275,6 @@ func (m *MCE) Reset(seed int64, reg *metrics.Registry, tr *tracing.Tracer, heat 
 	m.braids = m.braids[:0]
 	clear(m.busyPatch)
 	m.magicStates = 0
-
-	m.in = newInstr(reg)
-	m.tr = tr
-	m.bw = bw
 
 	m.cycle = 0
 	m.microOps, m.logicalRetired = 0, 0

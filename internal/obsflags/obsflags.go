@@ -68,6 +68,7 @@ import (
 	"quest/internal/ledger"
 	"quest/internal/mc"
 	"quest/internal/metrics"
+	"quest/internal/probe"
 	"quest/internal/tracing"
 )
 
@@ -157,21 +158,26 @@ func (o *Obs) TraceEnabled() bool { return *o.tracePath != "" }
 // MetricsFormat returns the -metrics value ("", "text" or "json").
 func (o *Obs) MetricsFormat() string { return *o.metricsFmt }
 
-// ShardReg returns the registry Monte-Carlo drivers should aggregate
-// per-worker shards into: metrics.Default when -metrics (or -pprof, which
-// serves the registry live, or -events, whose snapshots carry registry
-// deltas) is requested, nil otherwise so the metrics-off path stays
-// allocation-free.
-func (o *Obs) ShardReg() *metrics.Registry {
+// Probes returns the observers the flags enable, valid after Start:
+//   - Metrics is the registry Monte-Carlo drivers aggregate per-worker
+//     shards into: metrics.Default when -metrics (or -pprof, which serves
+//     the registry live, or -events, whose snapshots carry registry deltas)
+//     is requested, nil otherwise so the sweep engine hands out no shards;
+//   - Tracer is the process tracer (nil when tracing is off);
+//   - Heat is the process heat-collector set (nil when -heatmap is off,
+//     which keeps the decode paths allocation-free);
+//   - BW is the process bandwidth recorder (nil when -bw is off, which
+//     keeps the dispatch and cache-replay paths allocation-free).
+//
+// Sweep drivers pass it through core.SweepObs; cycle-loop binaries
+// (questsim) hand it straight to the machine config.
+func (o *Obs) Probes() probe.Probes {
+	p := probe.Probes{Tracer: tracing.Default, Heat: o.heat, BW: o.bw}
 	if *o.metricsFmt != "" || *o.pprofAddr != "" || *o.eventsPath != "" {
-		return metrics.Default
+		p.Metrics = metrics.Default
 	}
-	return nil
+	return p
 }
-
-// Tracer returns the process tracer (nil when tracing is off). Valid after
-// Start.
-func (o *Obs) Tracer() *tracing.Tracer { return tracing.Default }
 
 // CIStop returns the -ci-stop width (0 = adaptive stopping off). Validated
 // by Start.
@@ -180,16 +186,6 @@ func (o *Obs) CIStop() float64 { return *o.ciStop }
 // ProgressEnabled reports whether -progress was given (for binaries that
 // render their own non-sweep progress, e.g. questsim's idle cycles).
 func (o *Obs) ProgressEnabled() bool { return *o.progress }
-
-// HeatSet returns the process heat-collector set (nil when -heatmap is off,
-// which keeps the decode paths allocation-free). Valid after Start.
-func (o *Obs) HeatSet() *heatmap.Set { return o.heat }
-
-// BW returns the process bandwidth recorder (nil when -bw is off, which
-// keeps the dispatch and cache-replay paths allocation-free). Valid after
-// Start. Sweep drivers pass it through core.SweepObs.BW; cycle-loop binaries
-// (questsim) hand it straight to the machine config.
-func (o *Obs) BW() *bwprofile.Recorder { return o.bw }
 
 // OpenBW stores the experiment name and config the quest-bw/1 artifact's
 // provenance header will carry; Finish writes the file. No-op when -bw is
@@ -328,7 +324,7 @@ func (o *Obs) OpenEvents(experiment string, config map[string]string) error {
 			return fmt.Errorf("events: %w", err)
 		}
 	}
-	smp := events.NewSampler(events.NewWriter(w, o.bcast), o.ShardReg())
+	smp := events.NewSampler(events.NewWriter(w, o.bcast), o.Probes().Metrics)
 	smp.SetBW(o.bw) // nil when -bw is off; snapshots then omit the BW section
 	host, _ := os.Hostname()
 	h := events.Header{

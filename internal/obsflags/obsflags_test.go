@@ -51,7 +51,7 @@ func TestTraceLifecycle(t *testing.T) {
 	if err := o.Start(); err != nil {
 		t.Fatal(err)
 	}
-	tr := o.Tracer()
+	tr := o.Probes().Tracer
 	if tr == nil || tr.Capacity() != 1024 {
 		t.Fatalf("tracer = %v (cap %d), want enabled with cap 1024", tr, tr.Capacity())
 	}
@@ -92,8 +92,8 @@ func TestMetricsServerServesPrometheusAndPprof(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Finish()
-	if o.ShardReg() != metrics.Default {
-		t.Error("ShardReg should aggregate into Default while serving")
+	if o.Probes().Metrics != metrics.Default {
+		t.Error("Probes().Metrics should aggregate into Default while serving")
 	}
 	get := func(path string) (int, string) {
 		resp, err := http.Get("http://" + o.Addr() + path)
@@ -125,8 +125,8 @@ func TestShardRegNilWhenObservabilityOff(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if o.ShardReg() != nil {
-		t.Error("ShardReg should be nil with no -metrics/-pprof")
+	if o.Probes().Metrics != nil {
+		t.Error("Probes().Metrics should be nil with no -metrics/-pprof")
 	}
 	if o.TraceEnabled() {
 		t.Error("TraceEnabled with no -trace")
@@ -202,9 +202,9 @@ func TestLedgerAndHeatmapLifecycle(t *testing.T) {
 	lw.WriteTrial(ledger.Trial{Cell: "c", Trial: 0, Seed: ledger.SeedString(7), Fail: true})
 	lw.WriteCell(ledger.Cell{Cell: "c", Seed: ledger.SeedString(7), Budget: 1, Trials: 1,
 		Failures: 1, Rate: 1, WilsonLo: 0.2, WilsonHi: 1})
-	heat := o.HeatSet()
+	heat := o.Probes().Heat
 	if heat == nil {
-		t.Fatal("HeatSet() = nil with -heatmap set")
+		t.Fatal("Probes().Heat = nil with -heatmap set")
 	}
 	heat.Collector("lat-3x3", 3, 3).Defect(1, 1)
 	var log bytes.Buffer
@@ -392,8 +392,8 @@ func TestEventsLifecycle(t *testing.T) {
 	if !o.EventsEnabled() {
 		t.Fatal("EventsEnabled() = false with -events set")
 	}
-	if o.ShardReg() != metrics.Default {
-		t.Error("ShardReg should aggregate into Default with -events set (snapshots carry deltas)")
+	if o.Probes().Metrics != metrics.Default {
+		t.Error("Probes().Metrics should aggregate into Default with -events set (snapshots carry deltas)")
 	}
 	if err := o.OpenEvents("events-test", map[string]string{"trials": "40"}); err != nil {
 		t.Fatal(err)
@@ -559,7 +559,7 @@ func TestBWLifecycle(t *testing.T) {
 	if err := o.Start(); err != nil {
 		t.Fatal(err)
 	}
-	rec := o.BW()
+	rec := o.Probes().BW
 	if rec == nil {
 		t.Fatal("BW() = nil after Start with -bw")
 	}

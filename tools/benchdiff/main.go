@@ -11,8 +11,8 @@
 // A case is a regression when current ns/op exceeds baseline ns/op by more
 // than -max-regress (0.30 = +30%). Cases present in only one report are
 // listed but never fail the run, so adding or retiring benchmarks does not
-// require touching the baseline in the same commit. Reports with different
-// schema identifiers refuse to compare.
+// require touching the baseline in the same commit. A report whose schema
+// is absent or not the current quest-bench layout is refused (exit 2).
 //
 // Allocation movement (B/op, allocs/op) is compared as well but only warns:
 // allocation counts are exact, so any growth is reported, yet a memory shift
