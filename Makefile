@@ -189,13 +189,14 @@ examples:
 
 # Brief fuzzing runs over the wire formats, the JSONL artifact readers
 # (ledger, events, quest-bw/1) and the trace reader, plus the stabilizer
-# tableau against its row-major oracle. The artifact readers' seeds are whole
-# writer outputs, so minimizing each new input would eat the run: it is
-# switched off.
+# tableau against its row-major oracle and the MCE issue stage against its
+# whole-queue scan. The artifact readers' seeds are whole writer outputs, so
+# minimizing each new input would eat the run: it is switched off.
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/qasm/
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/qexe/
 	$(GO) test -fuzz FuzzTableauMatchesOracle -fuzztime 30s ./internal/clifford/
+	$(GO) test -run '^$$' -fuzz FuzzIssueMatchesScan -fuzztime 30s ./internal/mce/
 	$(GO) test -run '^$$' -fuzz FuzzLedgerRead -fuzztime 30s -fuzzminimizetime 1x ./internal/ledger/
 	$(GO) test -run '^$$' -fuzz FuzzEventsParse -fuzztime 30s -fuzzminimizetime 1x ./internal/events/
 	$(GO) test -run '^$$' -fuzz FuzzBWParse -fuzztime 30s -fuzzminimizetime 1x ./internal/bwprofile/
@@ -208,7 +209,7 @@ fuzz:
 # corpora; TestCleanTargetPreservesTrackedTestdata pins the fix.
 clean:
 	git clean -fdx internal/qasm/testdata internal/qexe/testdata internal/clifford/testdata \
-		internal/ledger/testdata internal/events/testdata internal/bwprofile/testdata \
+		internal/mce/testdata internal/ledger/testdata internal/events/testdata internal/bwprofile/testdata \
 		internal/tracing/testdata internal/benchsuite/testdata
 	rm -f ledger-shard-*.jsonl events-shard-*.jsonl bw-smoke-*.jsonl
 	$(GO) clean ./...

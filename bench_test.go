@@ -182,6 +182,26 @@ func BenchmarkMachineEndToEnd(b *testing.B) {
 	b.ReportMetric(res.MeasuredSavings, "measured-savings-x")
 }
 
+// BenchmarkMachineDistill runs questsim's headline machine run, the cached
+// distillation replay (§5.3), at two replay counts. With a linear replay
+// the 400-replay run costs 8× the 50-replay one per iteration.
+func BenchmarkMachineDistill(b *testing.B) {
+	for _, replays := range []int{50, 400} {
+		b.Run(fmt.Sprintf("replays=%d", replays), func(b *testing.B) {
+			b.ReportAllocs()
+			var rep core.RunReport
+			for i := 0; i < b.N; i++ {
+				var err error
+				rep, err = core.NewMachine(core.DefaultMachineConfig()).RunDistillationCached(replays, 0)
+				if err != nil || !rep.Drained {
+					b.Fatalf("distill %d replays: drained=%v err=%v", replays, rep.Drained, err)
+				}
+			}
+			b.ReportMetric(float64(rep.Cycles), "cycles")
+		})
+	}
+}
+
 // ---- Ablations (DESIGN.md §5) ----
 
 // BenchmarkAblationMaskCoalescing compares raw per-qubit mask storage
@@ -224,7 +244,8 @@ func BenchmarkAblationLocalDecoder(b *testing.B) {
 
 // BenchmarkAblationMicrocodeDesigns compares replay cost of the three
 // organizations on the same tile (RAM pays address decode, FIFO streams
-// flat, unit cell regenerates from the pattern table).
+// flat, unit cell regenerates from the pattern table). Each iteration flips
+// one mask bit, so the store re-expands instead of replaying cached words.
 func BenchmarkAblationMicrocodeDesigns(b *testing.B) {
 	lat := surface.NewLattice(9, 19)
 	mask := surface.NewMask(lat)
@@ -233,6 +254,7 @@ func BenchmarkAblationMicrocodeDesigns(b *testing.B) {
 			st := microcode.NewStore(d, surface.Steane, lat)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				mask.SetDisabled(0, i%2 == 0)
 				st.ReplayCycle(mask)
 			}
 			b.ReportMetric(float64(st.CapacityBits()), "capacity-bits")

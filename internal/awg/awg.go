@@ -17,6 +17,7 @@ package awg
 
 import (
 	"fmt"
+	"slices"
 
 	"quest/internal/clifford"
 	"quest/internal/isa"
@@ -38,9 +39,10 @@ type ExecutionUnit struct {
 	tableau *clifford.Tableau
 	inj     *noise.Injector
 
-	selects []isa.Opcode // latched select register per switch
-	pairs   []int
-	latched []bool
+	selects  []isa.Opcode // latched select register per switch
+	pairs    []int
+	latched  []bool
+	nLatched int // switches latched since the last Fire
 
 	latchCount uint64
 	fireCount  uint64
@@ -98,6 +100,7 @@ func (u *ExecutionUnit) latch(q int, op isa.Opcode, pair int) {
 	u.selects[q] = op
 	u.pairs[q] = pair
 	u.latched[q] = true
+	u.nLatched++
 	u.latchCount++
 }
 
@@ -121,10 +124,19 @@ func (u *ExecutionUnit) Fire() {
 	if !u.Ready() {
 		panic("awg: fire with unlatched switches (lock-step violation)")
 	}
+	u.fire(u.selects, u.pairs)
+	for q := range u.latched {
+		u.latched[q] = false
+	}
+	u.nLatched = 0
+}
+
+// fire executes one sub-cycle whose select registers are ops and pairs.
+func (u *ExecutionUnit) fire(ops []isa.Opcode, pairs []int) {
 	u.fireCount++
 	if u.timing != nil {
 		max := u.timing.IdleNs
-		for _, op := range u.selects {
+		for _, op := range ops {
 			if l := u.timing.opLatencyNs(op); l > max {
 				max = l
 			}
@@ -132,8 +144,7 @@ func (u *ExecutionUnit) Fire() {
 		u.elapsedNs += max
 	}
 	// Two-qubit gates execute once per pair: act on the control side.
-	for q := 0; q < u.n; q++ {
-		op := u.selects[q]
+	for q, op := range ops {
 		switch op {
 		case isa.OpIdle:
 			if u.inj != nil {
@@ -179,18 +190,18 @@ func (u *ExecutionUnit) Fire() {
 			// the architecture experiments measure. Noise still applies.
 			u.afterGate1(q)
 		case isa.OpCNOTControl:
-			p := u.pairs[q]
-			u.checkPair(q, p, isa.OpCNOTTarget)
+			p := pairs[q]
+			checkPair(ops, pairs, q, p, isa.OpCNOTTarget)
 			u.tableau.CNOT(q, p)
 			if u.inj != nil {
 				u.inj.AfterGate2(u.tableau, q, p)
 			}
 		case isa.OpCNOTTarget:
 			// executed from the control side
-			u.checkPair(q, u.pairs[q], isa.OpCNOTControl)
+			checkPair(ops, pairs, q, pairs[q], isa.OpCNOTControl)
 		case isa.OpCZ:
-			p := u.pairs[q]
-			u.checkPair(q, p, isa.OpCZ)
+			p := pairs[q]
+			checkPair(ops, pairs, q, p, isa.OpCZ)
 			if q < p { // execute each CZ pair once
 				u.tableau.CZ(q, p)
 				if u.inj != nil {
@@ -206,9 +217,6 @@ func (u *ExecutionUnit) Fire() {
 		default:
 			panic(fmt.Sprintf("awg: unhandled opcode %s on qubit %d", op, q))
 		}
-	}
-	for q := range u.latched {
-		u.latched[q] = false
 	}
 }
 
@@ -228,16 +236,16 @@ func (u *ExecutionUnit) deliverMeasurement(q, bit int) {
 	}
 }
 
-func (u *ExecutionUnit) checkPair(q, p int, want isa.Opcode) {
-	if p < 0 || p >= u.n {
+func checkPair(ops []isa.Opcode, pairs []int, q, p int, want isa.Opcode) {
+	if p < 0 || p >= len(ops) {
 		panic(fmt.Sprintf("awg: qubit %d paired with out-of-range %d", q, p))
 	}
-	if u.selects[p] != want {
+	if ops[p] != want {
 		panic(fmt.Sprintf("awg: qubit %d (%s) paired with qubit %d latched as %s, want %s",
-			q, u.selects[q], p, u.selects[p], want))
+			q, ops[q], p, ops[p], want))
 	}
-	if u.pairs[p] != q {
-		panic(fmt.Sprintf("awg: asymmetric pairing %d->%d but %d->%d", q, p, p, u.pairs[p]))
+	if pairs[p] != q {
+		panic(fmt.Sprintf("awg: asymmetric pairing %d->%d but %d->%d", q, p, p, pairs[p]))
 	}
 }
 
@@ -247,11 +255,17 @@ func (u *ExecutionUnit) Stats() (latches, fires, measurements uint64) {
 }
 
 // ExecuteWord latches and fires a complete VLIW word — one lock-step
-// sub-cycle. Measurements flow to MeasSink.
+// sub-cycle. Measurements flow to MeasSink. The word fills every select
+// register at once, so it fires straight from the word's slots instead of
+// latching them; a switch already latched panics as a double latch, as
+// LatchWord does.
 func (u *ExecutionUnit) ExecuteWord(w isa.VLIW) {
 	if w.Len() != u.n {
 		panic(fmt.Sprintf("awg: word width %d != matrix width %d", w.Len(), u.n))
 	}
-	u.LatchWord(w)
-	u.Fire()
+	if u.nLatched > 0 {
+		panic(fmt.Sprintf("awg: double latch on qubit %d before fire", slices.Index(u.latched, true)))
+	}
+	u.latchCount += uint64(u.n)
+	u.fire(w.Ops, w.Pairs)
 }

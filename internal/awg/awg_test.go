@@ -181,6 +181,19 @@ func TestWrongWidthWordPanics(t *testing.T) {
 	u.ExecuteWord(isa.NewVLIW(5))
 }
 
+// TestExecuteWordOverLatchPanics: a word fills every switch, so executing
+// one while a switch is still latched is a double latch on that switch.
+func TestExecuteWordOverLatchPanics(t *testing.T) {
+	u := newUnit(3, 1, nil)
+	u.Latch(isa.MicroOp{Op: isa.OpX, Qubit: 1})
+	defer func() {
+		if r := recover(); r != "awg: double latch on qubit 1 before fire" {
+			t.Errorf("ExecuteWord over a latched switch: panic %v, want a double latch on qubit 1", r)
+		}
+	}()
+	u.ExecuteWord(isa.NewVLIW(3))
+}
+
 func TestNoiseInjectionOnIdle(t *testing.T) {
 	m := noise.Uniform(1)
 	u := newUnit(1, 1, &m)

@@ -9,7 +9,8 @@ import (
 // operation (opcode, a, b), and runs it on a Tableau and on the row-major
 // oracle with identically seeded rngs. Every measurement outcome, expectation,
 // observable and stabilizer sign must agree, as must the whole tableau (every
-// row's Pauli and sign) after the last operation.
+// row's Pauli and sign) and the signs of a few wide stabilizer products after
+// the last operation.
 func runAgainstOracle(t *testing.T, n int, seed int64, prog []byte) {
 	t.Helper()
 	tb := New(n, rand.New(rand.NewSource(seed)))
@@ -78,6 +79,33 @@ func runAgainstOracle(t *testing.T, n int, seed int64, prog []byte) {
 		if got != want {
 			t.Fatalf("n=%d seed=%d op %d (code %d, a=%d, b=%d): tableau %d, oracle %d",
 				n, seed, pc/3, op, a, b, got, want)
+		}
+	}
+	// Products of many stabilizers, spread over every word of the
+	// stabilizer half, carry X and Z parts across word boundaries: their
+	// signs exercise productSign's carry between words, which random
+	// measurements seldom reach.
+	for i := 0; i < 3 && n > 1; i++ {
+		px, pz := make([]uint64, tb.hw), make([]uint64, tb.hw)
+		for j := 0; j < n; j++ {
+			if (j*7+i*13+int(seed))%3 != 0 {
+				continue
+			}
+			x, z, _ := tb.row(n + j)
+			xorInto(px, x)
+			xorInto(pz, z)
+		}
+		var xs, zs []int
+		for q := 0; q < n; q++ {
+			if px[q>>6]>>(uint(q)&63)&1 == 1 {
+				xs = append(xs, q)
+			}
+			if pz[q>>6]>>(uint(q)&63)&1 == 1 {
+				zs = append(zs, q)
+			}
+		}
+		if got, want := tb.MeasureObservable(xs, zs), or.MeasureObservable(xs, zs); got != want {
+			t.Fatalf("n=%d seed=%d: stabilizer product %d measures %d, oracle %d", n, seed, i, got, want)
 		}
 	}
 	for row := 0; row < 2*n; row++ {

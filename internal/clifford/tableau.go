@@ -322,12 +322,15 @@ func (t *Tableau) productSign(sel []uint64) uint64 {
 	for k := k0; k <= k1; k++ {
 		sign ^= uint64(bits.OnesCount64(r[k] & sel[k]))
 	}
+	// Walk the flat column storage with stride 2·cw: qubit j's
+	// stabilizer-half X word k sits at 2j·cw + hw + k, its Z word cw on.
 	var sum int
-	for j := 0; j < t.n; j++ {
-		xs, zs := t.xcol(j)[t.hw:], t.zcol(j)[t.hw:]
+	cols, cw := t.cols, t.cw
+	for o := t.hw; o < len(cols); o += 2 * cw {
 		var cx, cz uint64 // parity of the selected bits in earlier words
 		for k := k0; k <= k1; k++ {
-			x1, z1 := xs[k]&sel[k], zs[k]&sel[k]
+			s := sel[k]
+			x1, z1 := cols[o+k]&s, cols[o+cw+k]&s
 			if x1|z1 == 0 {
 				continue
 			}

@@ -459,15 +459,19 @@ func (m *Master) StepCycle() CycleReport {
 			}
 		}
 		if w := m.windows[i]; w != nil {
+			// Only a window holding or receiving defects can decode.
+			var start time.Time
+			if len(r.DefectsEscalated) > 0 || w.Pending() > 0 {
+				start = decodeClock()
+			}
 			if applied := w.Absorb(r.DefectsEscalated, t.Frame()); applied > 0 {
 				rep.GlobalMatches += applied
-				m.globalCorr++
-				m.in.globalDecodes.Inc()
+				m.windowDecoded(start)
 			}
 			continue
 		}
 		if len(r.DefectsEscalated) > 0 {
-			decodeStart := time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
+			decodeStart := decodeClock()
 			xs, zs := decoder.SplitByType(r.DefectsEscalated)
 			for _, group := range [2][]decoder.Defect{xs, zs} {
 				if len(group) == 0 {
@@ -497,11 +501,27 @@ func (m *Master) StepCycle() CycleReport {
 func (m *Master) FlushDecodeWindows() {
 	for i, w := range m.windows {
 		if w != nil {
+			start := decodeClock()
 			if w.Flush(m.tiles[i].Frame()) > 0 {
-				m.globalCorr++
+				m.windowDecoded(start)
 			}
 		}
 	}
+}
+
+// windowDecoded records one window decode that applied corrections,
+// started at start: the same global-decode count Stats reports, and its
+// latency.
+func (m *Master) windowDecoded(start time.Time) {
+	m.globalCorr++
+	m.in.globalDecodes.Inc()
+	m.in.decodeNs.Observe(float64(time.Since(start)))
+}
+
+// decodeClock reads the wall clock for the master.decode.ns latency
+// histogram.
+func decodeClock() time.Time {
+	return time.Now() //quest:allow(seedsrc) wall-clock latency metric only; the value never reaches simulation state
 }
 
 // RunUntilDrained steps cycles until every tile's logical backlog is empty,

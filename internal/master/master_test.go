@@ -7,8 +7,10 @@ import (
 	"quest/internal/compiler"
 	"quest/internal/isa"
 	"quest/internal/mce"
+	"quest/internal/metrics"
 	"quest/internal/microcode"
 	"quest/internal/noise"
+	"quest/internal/probe"
 	"quest/internal/surface"
 )
 
@@ -236,6 +238,56 @@ func TestWindowedDecodeMode(t *testing.T) {
 		if w != nil && w.Pending() != 0 {
 			t.Error("window still pending after flush")
 		}
+	}
+}
+
+// TestWindowedDecodesAreTimedAndCounted: on the windowed path every decode
+// that applies corrections — a window closing inside StepCycle or the final
+// FlushDecodeWindows — is one master.global.decodes count, one
+// master.decode.ns observation, and one decode in Stats.
+func TestWindowedDecodesAreTimedAndCounted(t *testing.T) {
+	nm := noise.Uniform(5e-3)
+	reg := metrics.New()
+	tile := mce.New(mce.Config{
+		Design:   microcode.DesignUnitCell,
+		Schedule: surface.Steane,
+		Layout:   compiler.NewLayout(3, 1),
+		Noise:    &nm,
+		Seed:     3,
+		Probes:   probe.Probes{Metrics: reg},
+	})
+	m := New(Config{PacketsPerCycle: 4, DecodeWindow: 3, Probes: probe.Probes{Metrics: reg}}, []*mce.MCE{tile})
+	m.StepCycle()
+	if err := m.Dispatch(0, isa.LogicalInstr{Op: isa.LPrep0, Target: 0}); err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 8; c++ {
+		m.StepCycle()
+	}
+	if err := m.Dispatch(0, isa.LogicalInstr{Op: isa.LMeasZ, Target: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.RunUntilDrained(60); !ok {
+		t.Fatal("machine did not drain")
+	}
+	// End on a flush that has defects to decode.
+	for c := 0; m.windows[0].Pending() == 0; c++ {
+		if c == 100 {
+			t.Fatal("no defects buffered in 100 cycles; raise the noise")
+		}
+		m.StepCycle()
+	}
+	_, before := m.Stats()
+	m.FlushDecodeWindows()
+	_, decodes := m.Stats()
+	if decodes != before+1 {
+		t.Errorf("the flush of a window holding defects counted %d decodes, want 1", decodes-before)
+	}
+	counted := reg.Counter("master.global.decodes").Value()
+	timed := reg.Histogram("master.decode.ns", nil).Count()
+	if counted != decodes || timed != decodes {
+		t.Errorf("Stats decodes %d, master.global.decodes %d, master.decode.ns count %d: want all equal",
+			decodes, counted, timed)
 	}
 }
 

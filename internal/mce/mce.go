@@ -16,8 +16,10 @@
 package mce
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"quest/internal/awg"
@@ -124,6 +126,12 @@ type braid struct {
 	ctrl, tgt int
 }
 
+// patchSupport holds one patch's qubit lists, computed once per layout:
+// every qubit, the ancillas, and the logical-X and logical-Z supports.
+type patchSupport struct {
+	qubits, ancillas, logicalX, logicalZ []int
+}
+
 // MCE is one engine instance.
 type MCE struct {
 	cfg   Config
@@ -144,14 +152,32 @@ type MCE struct {
 	frame *decoder.PauliFrame
 
 	// Instruction pipeline.
-	buffer    []isa.LogicalInstr
+	buffer    issueQueue
 	cache     map[int][]isa.LogicalInstr
-	replayQ   []isa.LogicalInstr
-	braids    []*braid
+	replayQ   issueQueue
+	braids    []braid
 	busyPatch []bool // patches occupied by an in-flight braid
 	// claimed marks the patches issueLogical has claimed this cycle (issued
 	// to, or blocked in program order); scratch reused every cycle.
 	claimed []bool
+	// heads is issueFrom's scratch: the queue's FIFO heads.
+	heads []issueHead
+	// examined counts the queue heads issueFrom has looked at, so tests can
+	// bound the issue stage's work per cycle.
+	examined uint64
+	// overlay collects the cycle's logical µops; w0 is the scratch copy of
+	// the first sub-cycle word they are applied to, so the store's replayed
+	// words stay untouched.
+	overlay []isa.MicroOp
+	w0      isa.VLIW
+
+	// Trial-independent per-layout tables: each patch's qubit lists; the
+	// braid walk of every (ctrl, tgt) CNOT, at ctrl·patches + tgt; and the
+	// µop overlay of every transverse instruction, at
+	// patch·NumLogicalOpcodes + opcode. The last two fill on first use.
+	patch      []patchSupport
+	braidSteps [][]surface.BraidStep
+	transverse [][]isa.MicroOp
 
 	magicStates int
 
@@ -192,6 +218,7 @@ func New(cfg Config) *MCE {
 		panic(fmt.Sprintf("mce: negative cache slots %d", cfg.CacheSlots))
 	}
 	lat := cfg.Layout.Lat
+	patches := cfg.Layout.NumPatches()
 	m := &MCE{
 		cfg:   cfg,
 		store: microcode.NewStore(cfg.Design, cfg.Schedule, lat),
@@ -202,9 +229,16 @@ func New(cfg Config) *MCE {
 		local: decoder.NewLocalDecoder(lat),
 		frame: decoder.NewPauliFrame(),
 
+		buffer:    newIssueQueue(patches),
 		cache:     make(map[int][]isa.LogicalInstr),
-		busyPatch: make([]bool, cfg.Layout.NumPatches()),
-		claimed:   make([]bool, cfg.Layout.NumPatches()),
+		replayQ:   newIssueQueue(patches),
+		busyPatch: make([]bool, patches),
+		claimed:   make([]bool, patches),
+		w0:        isa.NewVLIW(lat.NumQubits()),
+
+		patch:      make([]patchSupport, patches),
+		braidSteps: make([][]surface.BraidStep, patches*patches),
+		transverse: make([][]isa.MicroOp, patches*isa.NumLogicalOpcodes),
 
 		tid: cfg.TileID,
 
@@ -215,10 +249,17 @@ func New(cfg Config) *MCE {
 	// Mask everything outside the patches: the inter-patch gap columns are
 	// not part of any code and must not run syndrome extraction.
 	inPatch := make([]bool, lat.NumQubits())
-	for p := 0; p < cfg.Layout.NumPatches(); p++ {
-		for _, q := range cfg.Layout.PatchQubits(p) {
+	for p := range m.patch {
+		ps := &m.patch[p]
+		ps.qubits = cfg.Layout.PatchQubits(p)
+		for _, q := range ps.qubits {
 			inPatch[q] = true
+			if lat.RoleOf(q) != surface.RoleData {
+				ps.ancillas = append(ps.ancillas, q)
+			}
 		}
+		ps.logicalX = cfg.Layout.PatchLogicalX(p)
+		ps.logicalZ = cfg.Layout.PatchLogicalZ(p)
 	}
 	m.baseMask = surface.NewMask(lat)
 	for q, in := range inPatch {
@@ -226,6 +267,7 @@ func New(cfg Config) *MCE {
 			m.baseMask.SetDisabled(q, true)
 		}
 	}
+	m.mask = m.baseMask.Clone()
 	m.Reset(cfg.Seed, cfg.Probes)
 	return m
 }
@@ -261,7 +303,7 @@ func (m *MCE) Reset(seed int64, p probe.Probes) {
 
 	m.tableau.SetRNG(rand.New(rand.NewSource(seed)))
 	m.tableau.Reset()
-	m.mask = m.baseMask.Clone()
+	m.mask.CopyFrom(m.baseMask)
 	m.inj = nil
 	if m.cfg.Noise != nil {
 		m.inj = noise.NewInjector(*m.cfg.Noise, seed+1)
@@ -269,9 +311,9 @@ func (m *MCE) Reset(seed int64, p probe.Probes) {
 	m.store.ResetStreamed()
 	m.frame.Reset()
 
-	m.buffer = m.buffer[:0]
+	m.buffer.reset()
 	clear(m.cache)
-	m.replayQ = m.replayQ[:0]
+	m.replayQ.reset()
 	m.braids = m.braids[:0]
 	clear(m.busyPatch)
 	m.magicStates = 0
@@ -342,7 +384,9 @@ func (m *MCE) Enqueue(in isa.LogicalInstr) error {
 			reps = 1
 		}
 		for r := 0; r < reps; r++ {
-			m.replayQ = append(m.replayQ, body...)
+			for _, bi := range body {
+				m.replayQ.push(bi)
+			}
 		}
 		m.cacheHits += uint64(reps)
 		m.in.cacheHits.Add(uint64(reps))
@@ -364,12 +408,12 @@ func (m *MCE) Enqueue(in isa.LogicalInstr) error {
 	if err := m.checkPatches(in); err != nil {
 		return err
 	}
-	if m.cfg.BufferCapacity > 0 && len(m.buffer) >= m.cfg.BufferCapacity {
+	if m.cfg.BufferCapacity > 0 && m.buffer.n >= m.cfg.BufferCapacity {
 		return fmt.Errorf("mce: instruction buffer full (%d)", m.cfg.BufferCapacity)
 	}
-	m.buffer = append(m.buffer, in)
+	m.buffer.push(in)
 	m.in.logicalEnqueued.Inc()
-	m.in.bufferOccupancy.Set(float64(len(m.buffer)))
+	m.in.bufferOccupancy.Set(float64(m.buffer.n))
 	return nil
 }
 
@@ -392,7 +436,7 @@ func (m *MCE) FreeBufferSlots() int {
 	if m.cfg.BufferCapacity <= 0 {
 		return 1 << 30
 	}
-	free := m.cfg.BufferCapacity - len(m.buffer)
+	free := m.cfg.BufferCapacity - m.buffer.n
 	if free < 0 {
 		return 0
 	}
@@ -423,7 +467,7 @@ func (m *MCE) LoadCacheSlot(slot int, body []isa.LogicalInstr) error {
 // PendingLogical returns the backlog: buffered + replaying instructions and
 // in-flight braids.
 func (m *MCE) PendingLogical() int {
-	return len(m.buffer) + len(m.replayQ) + len(m.braids)
+	return m.buffer.n + m.replayQ.n + len(m.braids)
 }
 
 // Stats returns cumulative counters.
@@ -463,19 +507,9 @@ func (m *MCE) StepCycle() CycleReport {
 	// 2. Issue new logical instructions to free patches.
 	overlay := m.issueLogical(&rep)
 
-	// 3. Replay the QECC microcode under the current mask; the first
-	// sub-cycle carries the logical overlay in the slots the mask freed.
-	words := m.store.ReplayCycle(m.mask)
-	if len(overlay) > 0 {
-		w0 := words[0]
-		for _, op := range overlay {
-			w0.Set(op.Qubit, op.Op)
-		}
-	}
-	for _, w := range words {
-		m.unit.ExecuteWord(w)
-		rep.MicroOpsIssued += w.Len()
-	}
+	// 3. Replay the QECC microcode under the current mask, the logical
+	// overlay in the first sub-cycle.
+	rep.MicroOpsIssued = m.replay(overlay)
 	m.microOps += uint64(rep.MicroOpsIssued)
 	rep.Measurements = len(m.pendingSynd) + len(m.pendingData)
 
@@ -523,9 +557,30 @@ func (m *MCE) StepCycle() CycleReport {
 	m.in.logicalRetired.Add(uint64(rep.LogicalRetired))
 	m.in.defectsLocal.Add(uint64(rep.DefectsLocal))
 	m.in.defectsEscalated.Add(uint64(len(residual)))
-	m.in.bufferOccupancy.Set(float64(len(m.buffer)))
+	m.in.bufferOccupancy.Set(float64(m.buffer.n))
 	m.in.cycleNs.Observe(float64(time.Since(start)))
 	return rep
+}
+
+// replay executes one QECC cycle's microcode stream under the current
+// mask and returns the µops issued. The first sub-cycle carries the logical
+// overlay in the slots the mask freed, laid over a copy of the store's
+// word: the store's words are read-only.
+func (m *MCE) replay(overlay []isa.MicroOp) int {
+	issued := 0
+	for s, w := range m.store.ReplayCycle(m.mask) {
+		if s == 0 && len(overlay) > 0 {
+			copy(m.w0.Ops, w.Ops)
+			copy(m.w0.Pairs, w.Pairs)
+			for _, op := range overlay {
+				m.w0.Set(op.Qubit, op.Op)
+			}
+			w = m.w0
+		}
+		m.unit.ExecuteWord(w)
+		issued += w.Len()
+	}
+	return issued
 }
 
 func (m *MCE) stepBraids(rep *CycleReport) {
@@ -557,103 +612,197 @@ func (m *MCE) stepBraids(rep *CycleReport) {
 
 // issueLogical pops ready instructions (replay queue first — cached loops
 // have priority so factory pipelines never starve) and returns the physical
-// overlay for this cycle's first sub-cycle.
+// overlay for this cycle's first sub-cycle. The overlay is scratch reused
+// every cycle.
 func (m *MCE) issueLogical(rep *CycleReport) []isa.MicroOp {
 	clear(m.claimed)
+	m.overlay = m.overlay[:0]
 	st := issueState{}
 	for _, busy := range m.busyPatch {
 		if busy {
 			st.blocked++
 		}
 	}
-	m.replayQ = m.issueFrom(m.replayQ, &st, rep)
-	m.buffer = m.issueFrom(m.buffer, &st, rep)
-	return st.overlay
+	m.issueFrom(&m.replayQ, &st, rep)
+	m.issueFrom(&m.buffer, &st, rep)
+	return m.overlay
 }
 
 // issueState is one cycle's issue progress across both queues.
 type issueState struct {
 	issued  int
 	blocked int // patches claimed this cycle or occupied by a braid
-	overlay []isa.MicroOp
 }
 
-// issueFrom scans queue in program order, issuing what it can, and returns
-// the queue without the issued instructions. Each patch takes at most one
-// instruction per cycle, and an instruction that cannot issue claims its
-// patch so nothing later on that patch jumps it. The scan stops once
-// issueWidth instructions have issued or every patch is claimed or under a
-// braid: nothing later can issue, and tryIssue on a braided patch fails
-// without side effects. The kept part of the scanned prefix is compacted in
-// place against the unscanned tail, and the queue's head advances past the
-// issued instructions.
-func (m *MCE) issueFrom(queue []isa.LogicalInstr, st *issueState, rep *CycleReport) []isa.LogicalInstr {
-	kept, i := 0, 0
-	for ; i < len(queue) && st.issued < issueWidth && st.blocked < len(m.claimed); i++ {
-		in := queue[i]
+// issueFrom issues what it can from q, trying instructions in program
+// order. Each patch takes at most one instruction per cycle, and an
+// instruction that cannot issue claims its patch so nothing later on that
+// patch jumps it; an instruction on a claimed patch is skipped. The scan
+// stops once issueWidth instructions have issued or every patch is claimed
+// or under a braid: nothing later can issue, and tryIssue on a braided
+// patch fails without side effects.
+//
+// Every instruction issueFrom tries is the head of its key's FIFO: an
+// earlier instruction with the same key was either tried, which claims the
+// key's patch, or skipped because a patch of the key was already claimed.
+// And once a key is tried, its patch stays claimed for the rest of the
+// cycle. So walking the keys' heads in program order, skipping keys that
+// touch a claimed patch, tries exactly the instructions a scan of the whole
+// queue would. A cycle costs O(keys + h·log h) for h non-empty keys,
+// whatever the queues' length.
+func (m *MCE) issueFrom(q *issueQueue, st *issueState, rep *CycleReport) {
+	if st.issued >= issueWidth || st.blocked >= len(m.claimed) {
+		return
+	}
+	heads := m.heads[:0]
+	for k := range q.fifos {
+		if f := &q.fifos[k]; f.head < len(f.buf) {
+			heads = append(heads, issueHead{seq: f.buf[f.head].seq, key: k})
+		}
+	}
+	m.examined += uint64(len(heads))
+	slices.SortFunc(heads, func(a, b issueHead) int { return cmp.Compare(a.seq, b.seq) })
+	m.heads = heads
+	for _, h := range heads {
+		if st.issued >= issueWidth || st.blocked >= len(m.claimed) {
+			return
+		}
+		in := q.front(h.key).in
 		p1, p2 := int(in.Target), -1
 		if in.Op == isa.LCNOT {
 			p2 = int(in.Arg)
 		}
 		if m.claimed[p1] || (p2 >= 0 && m.claimed[p2]) {
-			queue[kept] = in
-			kept++
 			continue
 		}
-		ok, ops := m.tryIssue(in, rep)
-		if !ok {
+		if !m.tryIssue(in, rep) {
 			if !m.busyPatch[p1] {
 				st.blocked++ // a busy p1 already counts
 			}
 			m.claimed[p1] = true
-			queue[kept] = in
-			kept++
 			continue
 		}
 		// Issued: neither patch was busy (tryIssue checks), nor claimed.
+		q.pop(h.key)
 		m.claimed[p1] = true
 		st.blocked++
 		if p2 >= 0 && p2 != p1 {
 			m.claimed[p2] = true
 			st.blocked++
 		}
-		st.overlay = append(st.overlay, ops...)
 		st.issued++
 	}
-	removed := i - kept
-	copy(queue[removed:i], queue[:kept])
-	return queue[removed:]
 }
 
-// tryIssue attempts to start one logical instruction this cycle.
-func (m *MCE) tryIssue(in isa.LogicalInstr, rep *CycleReport) (bool, []isa.MicroOp) {
+// issueQueue is one logical-instruction queue, the replay queue or the
+// buffer, held as one FIFO per key: key p holds the single-patch
+// instructions on patch p, and key (p, a) the LCNOTs from patch p to a.
+// Sequence numbers record program order across the FIFOs.
+type issueQueue struct {
+	patches int
+	fifos   []issueFIFO
+	n       int    // queued instructions
+	seq     uint64 // the next instruction's sequence number
+}
+
+type issueFIFO struct {
+	buf  []queued
+	head int // buf[:head] has issued
+}
+
+type queued struct {
+	seq uint64
+	in  isa.LogicalInstr
+}
+
+// issueHead names the FIFO key whose head instruction has sequence number
+// seq.
+type issueHead struct {
+	seq uint64
+	key int
+}
+
+func newIssueQueue(patches int) issueQueue {
+	return issueQueue{patches: patches, fifos: make([]issueFIFO, patches*(patches+1))}
+}
+
+// key returns the FIFO an instruction queues in: p·(patches+1) for a
+// single-patch instruction on p, plus 1+a for an LCNOT to patch a.
+func (q *issueQueue) key(in isa.LogicalInstr) int {
+	k := int(in.Target) * (q.patches + 1)
+	if in.Op == isa.LCNOT {
+		k += 1 + int(in.Arg)
+	}
+	return k
+}
+
+func (q *issueQueue) push(in isa.LogicalInstr) {
+	f := &q.fifos[q.key(in)]
+	if f.head > 0 && f.head >= len(f.buf)/2 && len(f.buf) == cap(f.buf) {
+		// At least half the buffer has issued: slide the rest down
+		// instead of growing.
+		f.buf = f.buf[:copy(f.buf, f.buf[f.head:])]
+		f.head = 0
+	}
+	f.buf = append(f.buf, queued{seq: q.seq, in: in})
+	q.seq++
+	q.n++
+}
+
+func (q *issueQueue) front(k int) *queued {
+	f := &q.fifos[k]
+	return &f.buf[f.head]
+}
+
+func (q *issueQueue) pop(k int) {
+	f := &q.fifos[k]
+	if f.head++; f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	q.n--
+}
+
+func (q *issueQueue) reset() {
+	for k := range q.fifos {
+		q.fifos[k].buf, q.fifos[k].head = q.fifos[k].buf[:0], 0
+	}
+	q.n, q.seq = 0, 0
+}
+
+// tryIssue attempts to start one logical instruction this cycle; a
+// transverse instruction appends its µops to the cycle's overlay.
+func (m *MCE) tryIssue(in isa.LogicalInstr, rep *CycleReport) bool {
 	patch := int(in.Target)
 	if m.busyPatch[patch] {
-		return false, nil
+		return false
 	}
 	switch {
 	case in.Op == isa.LCNOT:
 		tgt := int(in.Arg)
 		if m.busyPatch[tgt] {
-			return false, nil
+			return false
 		}
-		steps := compiler.BraidForCNOT(m.cfg.Layout, patch, tgt)
+		steps := m.braidSteps[patch*len(m.patch)+tgt]
+		if steps == nil {
+			steps = compiler.BraidForCNOT(m.cfg.Layout, patch, tgt)
+			m.braidSteps[patch*len(m.patch)+tgt] = steps
+		}
 		if len(steps) == 0 {
 			m.logicalRetired++
 			rep.LogicalRetired++
-			return true, nil
+			return true
 		}
 		m.busyPatch[patch] = true
 		m.busyPatch[tgt] = true
-		m.braids = append(m.braids, &braid{steps: steps, ctrl: patch, tgt: tgt})
-		return true, nil
+		m.braids = append(m.braids, braid{steps: steps, ctrl: patch, tgt: tgt})
+		return true
 	case in.Op == isa.LX || in.Op == isa.LZ:
 		// Logical Paulis are Pauli-frame updates along the logical operator
 		// chain — zero quantum cost, as in Appendix A.2's correction log.
-		support := m.cfg.Layout.PatchLogicalX(patch)
+		support := m.patch[patch].logicalX
 		flipX := true
 		if in.Op == isa.LZ {
-			support = m.cfg.Layout.PatchLogicalZ(patch)
+			support = m.patch[patch].logicalZ
 			flipX = false
 		}
 		for _, q := range support {
@@ -661,20 +810,26 @@ func (m *MCE) tryIssue(in isa.LogicalInstr, rep *CycleReport) (bool, []isa.Micro
 		}
 		m.logicalRetired++
 		rep.LogicalRetired++
-		return true, nil
+		return true
 	case in.Op == isa.LT:
 		if m.magicStates == 0 {
 			m.stalledT++
 			m.in.stalledT.Inc()
-			return false, nil
+			return false
 		}
 		m.magicStates--
 		fallthrough
 	case in.Op.IsTransverse():
-		ops, err := compiler.ExpandTransverse(m.cfg.Layout, in)
-		if err != nil {
-			panic(fmt.Sprintf("mce: %v", err))
+		k := patch*isa.NumLogicalOpcodes + int(in.Op)
+		ops := m.transverse[k]
+		if ops == nil {
+			var err error
+			if ops, err = compiler.ExpandTransverse(m.cfg.Layout, in); err != nil {
+				panic(fmt.Sprintf("mce: %v", err))
+			}
+			m.transverse[k] = ops
 		}
+		m.overlay = append(m.overlay, ops...)
 		// Mask the patch for this cycle so QECC yields the sub-cycle slots.
 		r0, c0, r1, c1 := m.cfg.Layout.PatchRegion(patch)
 		m.mask.SetRegion(r0, c0, r1, c1, true)
@@ -688,18 +843,18 @@ func (m *MCE) tryIssue(in isa.LogicalInstr, rep *CycleReport) (bool, []isa.Micro
 		case isa.LPrep0, isa.LPrepPlus:
 			// A fresh patch owes nothing to past syndromes or corrections.
 			m.forgetPatch(patch)
-			m.frame.Clear(m.cfg.Layout.PatchQubits(patch))
+			m.frame.Clear(m.patch[patch].qubits)
 		}
 		m.logicalRetired++
 		rep.LogicalRetired++
-		return true, ops
+		return true
 	default:
 		// Mask-manipulation opcodes arriving individually.
 		switch in.Op {
 		case isa.LMaskGrow, isa.LMaskShrink, isa.LMaskMove:
 			m.logicalRetired++
 			rep.LogicalRetired++
-			return true, nil
+			return true
 		}
 		panic(fmt.Sprintf("mce: unhandled logical instruction %s", in))
 	}
@@ -719,22 +874,16 @@ func (m *MCE) deferUnmask(r0, c0, r1, c1 int) {
 // (re)preparation or destructive measurement, old syndrome records would
 // read as a wall of spurious defects.
 func (m *MCE) forgetPatch(patch int) {
-	var ancillas []int
-	for _, q := range m.cfg.Layout.PatchQubits(patch) {
-		if m.cfg.Layout.Lat.RoleOf(q) != surface.RoleData {
-			ancillas = append(ancillas, q)
-		}
-	}
-	m.hist.Forget(ancillas)
+	m.hist.Forget(m.patch[patch].ancillas)
 }
 
 func (m *MCE) completeMeasurements(rep *CycleReport) {
 	for patch, basisX := range m.measuring {
 		// Z-basis outcome = parity over the logical-Z support, corrected by
 		// pending X flips; X-basis uses the logical-X support and Z flips.
-		support := m.cfg.Layout.PatchLogicalZ(patch)
+		support := m.patch[patch].logicalZ
 		if basisX {
-			support = m.cfg.Layout.PatchLogicalX(patch)
+			support = m.patch[patch].logicalX
 		}
 		parity := 0
 		complete := true

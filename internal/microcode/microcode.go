@@ -183,8 +183,15 @@ type Store struct {
 
 	// words is the unmasked compiled cycle (RAM and FIFO designs).
 	words []isa.VLIW
-	// cell is the replay table (unit-cell design).
-	cell *surface.CellTable
+	// cell replays the unit-cell table (unit-cell design).
+	cell *surface.CellExpander
+
+	// out is the stream last replayed, for the mask outMask at version
+	// outVersion; valid is false until the first replay.
+	out        []isa.VLIW
+	outMask    *surface.Mask
+	outVersion uint64
+	valid      bool
 
 	bitsStreamed uint64
 }
@@ -198,9 +205,13 @@ func NewStore(d Design, sched surface.Schedule, lat surface.Lattice) *Store {
 	case DesignRAM, DesignFIFO:
 		s.words = surface.CompileCycle(lat, sched, nil)
 	case DesignUnitCell:
-		s.cell = surface.BuildCellTable(sched)
+		s.cell = surface.BuildCellTable(sched).Expander(lat)
 	default:
 		panic(fmt.Sprintf("microcode: unknown design %d", int(d)))
+	}
+	s.out = make([]isa.VLIW, sched.Depth)
+	for i := range s.out {
+		s.out[i] = isa.NewVLIW(lat.NumQubits())
 	}
 	return s
 }
@@ -230,39 +241,47 @@ func (s *Store) ResetStreamed() { s.bitsStreamed = 0 }
 // ReplayCycle produces the QECC cycle's VLIW stream for the current mask.
 // All three designs produce the identical stream (the architecture changes
 // where instructions are stored, never what executes); they differ in the
-// bits streamed per cycle and in capacity.
+// bits streamed per cycle and in capacity. Every call meters a full cycle's
+// bits, but the stream is re-expanded only when mask is another object than
+// last time or its Version has moved: the mask changes only on logical work,
+// so most cycles replay the words already built. The returned words belong
+// to the store: they are read-only and valid until the next ReplayCycle.
 func (s *Store) ReplayCycle(mask *surface.Mask) []isa.VLIW {
 	n := s.lat.NumQubits()
 	opBits := MicroOpBits(s.design, n)
 	s.bitsStreamed += uint64(n * s.sched.Depth * opBits)
+	var version uint64
+	if mask != nil {
+		version = mask.Version()
+	}
+	if s.valid && mask == s.outMask && version == s.outVersion {
+		return s.out
+	}
+	s.outMask, s.outVersion, s.valid = mask, version, true
 	if s.design == DesignUnitCell {
-		return s.cell.Expand(s.lat, mask)
+		s.cell.ExpandInto(s.out, mask)
+		return s.out
 	}
 	// RAM/FIFO: gate the stored unmasked program through the mask table.
-	out := make([]isa.VLIW, len(s.words))
 	for i, w := range s.words {
-		out[i] = gateWord(w, mask)
+		gateWord(s.out[i], w, mask)
 	}
-	return out
+	return s.out
 }
 
-// gateWord applies mask gating: masked qubits idle, and any µop paired with
-// a masked qubit idles too (its partner has been silenced).
-func gateWord(w isa.VLIW, mask *surface.Mask) isa.VLIW {
-	g := w.Clone()
+// gateWord writes w into dst under mask gating: masked qubits idle, and any
+// µop paired with a masked qubit idles too (its partner has been silenced).
+func gateWord(dst, w isa.VLIW, mask *surface.Mask) {
+	copy(dst.Ops, w.Ops)
+	copy(dst.Pairs, w.Pairs)
 	if mask == nil {
-		return g
+		return
 	}
-	for q, op := range g.Ops {
-		if mask.Disabled(q) {
-			g.Set(q, isa.OpIdle)
-			continue
-		}
-		if op.IsTwoQubit() && mask.Disabled(g.Pairs[q]) {
-			g.Set(q, isa.OpIdle)
+	for q, op := range dst.Ops {
+		if mask.Disabled(q) || op.IsTwoQubit() && mask.Disabled(dst.Pairs[q]) {
+			dst.Set(q, isa.OpIdle)
 		}
 	}
-	return g
 }
 
 func minInt(a, b int) int {

@@ -197,6 +197,75 @@ func TestStoreReplayEquivalence(t *testing.T) {
 	}
 }
 
+// TestReplayCacheTracksTheMask drives one store per design through a long
+// random sequence of mask edits — single bits, regions, sets that change
+// nothing, and swaps between mask objects, including a Clone that carries
+// the same version and a CopyFrom from another mask, which a pooled MCE
+// uses to rewind its mask to the rest state. Every replay must equal a fresh
+// compilation under the current mask, whether the store re-expanded or
+// replayed its cached words.
+func TestReplayCacheTracksTheMask(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	lat := surface.NewLattice(7, 9)
+	for _, d := range Designs() {
+		st := NewStore(d, surface.Steane, lat)
+		masks := []*surface.Mask{surface.NewMask(lat), surface.NewMask(lat)}
+		mask := masks[0]
+		for step := 0; step < 3000; step++ {
+			switch op := rng.Intn(16); {
+			case op < 6:
+				mask.SetDisabled(rng.Intn(lat.NumQubits()), rng.Intn(2) == 0)
+			case op < 8:
+				// A no-op set: the version must not move, and the cached
+				// stream stays right.
+				i := rng.Intn(lat.NumQubits())
+				mask.SetDisabled(i, mask.Disabled(i))
+			case op < 10:
+				r, c := rng.Intn(lat.Rows), rng.Intn(lat.Cols)
+				mask.SetRegion(r, c, r+rng.Intn(3), c+rng.Intn(3), rng.Intn(2) == 0)
+			case op == 10:
+				mask = masks[rng.Intn(len(masks))]
+			case op == 11:
+				mask = mask.Clone()
+				masks[rng.Intn(len(masks))] = mask
+			case op == 12:
+				mask.CopyFrom(masks[rng.Intn(len(masks))])
+			case op == 13:
+				st.ReplayCycle(nil)
+			}
+			want := surface.CompileCycle(lat, surface.Steane, mask)
+			got := st.ReplayCycle(mask)
+			for s := range want {
+				if !want[s].Equal(got[s]) {
+					t.Fatalf("%s step %d sub-cycle %d: replay diverges from compilation under the current mask", d, step, s)
+				}
+			}
+		}
+	}
+}
+
+// TestReplayCycleDoesNotAllocate pins every design's replay to zero
+// allocations, both when the mask is unchanged (the cached words) and when
+// every call flips a mask bit (a full re-expansion into the store's words).
+func TestReplayCycleDoesNotAllocate(t *testing.T) {
+	lat := surface.NewLattice(9, 19)
+	for _, d := range Designs() {
+		st := NewStore(d, surface.Steane, lat)
+		mask := surface.NewMask(lat)
+		if a := testing.AllocsPerRun(50, func() { st.ReplayCycle(mask) }); a != 0 {
+			t.Errorf("%s, unchanged mask: %v allocs/op, want 0", d, a)
+		}
+		i := 0
+		if a := testing.AllocsPerRun(50, func() {
+			i++
+			mask.SetDisabled(i%lat.NumQubits(), i%2 == 0)
+			st.ReplayCycle(mask)
+		}); a != 0 {
+			t.Errorf("%s, changed mask: %v allocs/op, want 0", d, a)
+		}
+	}
+}
+
 func TestStoreBitsStreamedAccounting(t *testing.T) {
 	lat := surface.NewLattice(5, 5)
 	n := lat.NumQubits()
@@ -259,12 +328,15 @@ func TestPanicsOnBadInput(t *testing.T) {
 	expect("unknown design store", func() { NewStore(Design(7), surface.Steane, surface.NewLattice(3, 3)) })
 }
 
+// BenchmarkReplayCycleUnitCell9x9 flips one mask bit per iteration, so it
+// measures the unit-cell expansion rather than a replay of cached words.
 func BenchmarkReplayCycleUnitCell9x9(b *testing.B) {
 	lat := surface.NewLattice(9, 9)
 	st := NewStore(DesignUnitCell, surface.Steane, lat)
 	mask := surface.NewMask(lat)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		mask.SetDisabled(0, i%2 == 0)
 		st.ReplayCycle(mask)
 	}
 }

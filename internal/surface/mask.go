@@ -71,6 +71,18 @@ func (m *Mask) Clone() *Mask {
 	return c
 }
 
+// CopyFrom overwrites m's bits with src's in m's own storage. Both masks
+// must cover the same lattice. The copy counts as a mutation: m's version
+// moves past both its own and src's, so no earlier (m, Version) pair names
+// the new bits.
+func (m *Mask) CopyFrom(src *Mask) {
+	if m.lat != src.lat {
+		panic(fmt.Sprintf("surface: copying a %dx%d mask onto a %dx%d one", src.lat.Rows, src.lat.Cols, m.lat.Rows, m.lat.Cols))
+	}
+	copy(m.disabled, src.disabled)
+	m.version = max(m.version, src.version) + 1
+}
+
 // Equal reports whether two masks select identical qubit sets.
 func (m *Mask) Equal(o *Mask) bool {
 	if m.lat != o.lat {

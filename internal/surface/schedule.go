@@ -134,17 +134,24 @@ func CompileCycle(lat Lattice, sched Schedule, mask *Mask) []isa.VLIW {
 	return words
 }
 
-// cellKey identifies a unit-cell pattern entry: the site parity class plus
-// the boundary/mask signature of the four neighbors. The microcode's replay
-// state machine regenerates the full-lattice stream from this table — the
-// paper's unit-cell optimization — so its size is O(1) in the lattice size.
-type cellKey struct {
-	rowParity, colParity int
-	// neighborAbsent bit k set means the N,E,W,S neighbor k is off-lattice
-	// or masked, selecting the boundary variant of the pattern entry.
-	neighborAbsent uint8
-	selfMasked     bool
+// cellKey packs a unit-cell pattern entry's identity into an index of the
+// table: the site parity class plus the boundary/mask signature of the four
+// neighbors. Bit 6 is the row parity, bit 5 the column parity, bits 1–4 the
+// neighborAbsent signature (bit k set means the N,E,W,S neighbor k is
+// off-lattice or masked, selecting the boundary variant of the entry) and
+// bit 0 whether the site itself is masked. The microcode's replay state
+// machine regenerates the full-lattice stream from this table — the paper's
+// unit-cell optimization — so its size is O(1) in the lattice size.
+func cellKey(rowParity, colParity int, neighborAbsent uint8, selfMasked bool) int {
+	k := rowParity<<6 | colParity<<5 | int(neighborAbsent)<<1
+	if selfMasked {
+		k |= 1
+	}
+	return k
 }
+
+// numCellKeys is the number of distinct cellKey values.
+const numCellKeys = 1 << 7
 
 // CellTable is the unit-cell microcode content: for each pattern entry, the
 // µop sequence over the schedule's sub-cycles. Entries reference neighbors by
@@ -152,7 +159,7 @@ type cellKey struct {
 // constant-size.
 type CellTable struct {
 	sched   Schedule
-	entries map[cellKey][]cellOp
+	entries [numCellKeys][]cellOp
 }
 
 type cellOp struct {
@@ -167,33 +174,26 @@ func BuildCellTable(sched Schedule) *CellTable {
 	if err := sched.Validate(); err != nil {
 		panic(err)
 	}
-	t := &CellTable{sched: sched, entries: make(map[cellKey][]cellOp)}
-	for rp := 0; rp < 2; rp++ {
-		for cp := 0; cp < 2; cp++ {
-			for sig := uint8(0); sig < 16; sig++ {
-				for _, selfMasked := range []bool{false, true} {
-					k := cellKey{rp, cp, sig, selfMasked}
-					t.entries[k] = t.build(k)
-				}
-			}
-		}
+	t := &CellTable{sched: sched}
+	for k := range t.entries {
+		t.entries[k] = t.build(k>>6&1, k>>5&1, uint8(k>>1&15), k&1 == 1)
 	}
 	return t
 }
 
-func (t *CellTable) build(k cellKey) []cellOp {
+func (t *CellTable) build(rowParity, colParity int, neighborAbsent uint8, selfMasked bool) []cellOp {
 	ops := make([]cellOp, t.sched.Depth)
 	for i := range ops {
 		ops[i] = cellOp{op: isa.OpIdle, dir: -1}
 	}
-	if k.selfMasked {
+	if selfMasked {
 		return ops
 	}
 	var role Role
 	switch {
-	case (k.rowParity+k.colParity)%2 == 0:
+	case (rowParity+colParity)%2 == 0:
 		role = RoleData
-	case k.rowParity == 0:
+	case rowParity == 0:
 		role = RoleAncillaX
 	default:
 		role = RoleAncillaZ
@@ -204,12 +204,12 @@ func (t *CellTable) build(k cellKey) []cellOp {
 		// The neighbor in direction dir is an ancilla whose own direction
 		// back to this data qubit is the opposite direction.
 		for dir := 0; dir < 4; dir++ {
-			if k.neighborAbsent&(1<<dir) != 0 {
+			if neighborAbsent&(1<<dir) != 0 {
 				continue
 			}
 			// Ancilla role depends on its row parity: moving N/S flips row
 			// parity, E/W keeps it.
-			ancRowParity := k.rowParity
+			ancRowParity := rowParity
 			if dir == 0 || dir == 3 {
 				ancRowParity ^= 1
 			}
@@ -246,7 +246,7 @@ func (t *CellTable) build(k cellKey) []cellOp {
 	order := cnotDirOrder(role)
 	for kk := 0; kk < 4; kk++ {
 		dir := order[kk]
-		if k.neighborAbsent&(1<<dir) != 0 {
+		if neighborAbsent&(1<<dir) != 0 {
 			continue
 		}
 		step := firstCNOT + kk
@@ -278,39 +278,67 @@ func (t *CellTable) NumEntries() int { return len(t.entries) }
 // Schedule returns the schedule the table was built for.
 func (t *CellTable) Schedule() Schedule { return t.sched }
 
-// Expand replays the unit-cell table across a full lattice under a mask,
-// regenerating the complete per-cycle VLIW stream. This models the MCE's
-// replay state machine; by construction (verified by tests) the result is
-// identical to CompileCycle's direct compilation.
+// Expand replays the unit-cell table across a full lattice under a mask into
+// freshly allocated words; see CellExpander.
 func (t *CellTable) Expand(lat Lattice, mask *Mask) []isa.VLIW {
 	words := make([]isa.VLIW, t.sched.Depth)
 	for s := range words {
 		words[s] = isa.NewVLIW(lat.NumQubits())
 	}
-	masked := func(i int) bool { return mask != nil && mask.Disabled(i) }
-	for i := 0; i < lat.NumQubits(); i++ {
+	t.Expander(lat).ExpandInto(words, mask)
+	return words
+}
+
+// CellExpander replays one CellTable across one lattice. It models the MCE's
+// replay state machine; by construction (verified by tests) its stream is
+// identical to CompileCycle's direct compilation.
+type CellExpander struct {
+	table *CellTable
+	lat   Lattice
+	nbr   [][4]int // each site's N, E, W and S neighbor, -1 off the patch
+}
+
+// Expander returns the table's replay state machine for lat, with each
+// site's neighbors looked up once.
+func (t *CellTable) Expander(lat Lattice) *CellExpander {
+	e := &CellExpander{table: t, lat: lat, nbr: make([][4]int, lat.NumQubits())}
+	for i := range e.nbr {
 		r, c := lat.Coord(i)
-		var sig uint8
-		for dir := 0; dir < 4; dir++ {
-			n := lat.Neighbor(r, c, dir)
-			if n < 0 || masked(n) {
-				sig |= 1 << dir
-			}
-		}
-		k := cellKey{rowParity: r % 2, colParity: c % 2, neighborAbsent: sig, selfMasked: masked(i)}
-		ops := t.entries[k]
-		for s, co := range ops {
-			if co.dir < 0 {
-				if co.op != isa.OpIdle {
-					words[s].Set(i, co.op)
-				}
-				continue
-			}
-			n := lat.Neighbor(r, c, co.dir)
-			words[s].SetPair(i, co.op, n)
+		for dir := range e.nbr[i] {
+			e.nbr[i][dir] = lat.Neighbor(r, c, dir)
 		}
 	}
-	return words
+	return e
+}
+
+// ExpandInto regenerates the complete per-cycle VLIW stream under mask into
+// words: Depth words of NumQubits() slots, every slot of which it
+// overwrites.
+func (e *CellExpander) ExpandInto(words []isa.VLIW, mask *Mask) {
+	var masked []bool
+	if mask != nil {
+		masked = mask.disabled
+	}
+	i := 0
+	for r := 0; r < e.lat.Rows; r++ {
+		for c := 0; c < e.lat.Cols; c, i = c+1, i+1 {
+			nb := &e.nbr[i]
+			var sig uint8
+			for dir, n := range nb {
+				if n < 0 || masked != nil && masked[n] {
+					sig |= 1 << dir
+				}
+			}
+			ops := e.table.entries[cellKey(r&1, c&1, sig, masked != nil && masked[i])]
+			for s, co := range ops {
+				pair := -1
+				if co.dir >= 0 {
+					pair = nb[co.dir]
+				}
+				words[s].Ops[i], words[s].Pairs[i] = co.op, pair
+			}
+		}
+	}
 }
 
 // SyndromeBit is one ancilla measurement produced by a QECC cycle.

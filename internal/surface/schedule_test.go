@@ -310,11 +310,15 @@ func BenchmarkCompileCycleD5(b *testing.B) {
 	}
 }
 
+// BenchmarkUnitCellExpandD5 flips one mask bit per iteration, so every
+// expansion sees a changed mask, as the store's re-expansions do.
 func BenchmarkUnitCellExpandD5(b *testing.B) {
 	lat := NewPlanar(5)
 	table := BuildCellTable(Steane)
+	mask := NewMask(lat)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		table.Expand(lat, nil)
+		mask.SetDisabled(0, i%2 == 0)
+		table.Expand(lat, mask)
 	}
 }
